@@ -60,11 +60,6 @@ type Faults struct {
 	CorruptP float64
 }
 
-// Active reports whether any fault has a nonzero probability.
-func (f Faults) Active() bool {
-	return f.LatencyP > 0 || f.ResetP > 0 || f.Error5xxP > 0 || f.TruncateP > 0 || f.CorruptP > 0
-}
-
 // Register binds the standard -chaos-* flag set onto fs, writing into
 // f. cmd/chaosproxy and cmd/positload share it so the two processes
 // spell an identical fault matrix identically.

@@ -92,11 +92,6 @@ func (p *Pass) Diag(rule Rule, pos token.Pos, format string, args ...interface{}
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// IsTestFile reports whether pos lies in a *_test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // AllRules returns the default rule set in stable order.
 func AllRules() []Rule {
 	return []Rule{
@@ -139,13 +134,10 @@ var ignoreRx = regexp.MustCompile(`^//positlint:ignore\s+([\w*,-]+)(\s+\S.*)?$`)
 //
 // Run is two-pass: it first builds the repo-wide fact index over every
 // package it was handed (so rules see cross-package facts), then lints
-// the packages in parallel. With a non-nil Cache, a package whose file
-// contents, rule set and consumed facts are unchanged since the last
-// run returns its recorded diagnostics without re-analysis.
+// the packages in parallel.
 type Runner struct {
 	Rules    []Rule        // rules to execute, in report order
 	Suppress *Suppressions // optional file-based suppressions
-	Cache    *Cache        // optional content-hash diagnostic cache
 	Jobs     int           // max concurrent packages; <=0 means GOMAXPROCS
 }
 
@@ -153,14 +145,6 @@ type Runner struct {
 // sorted by file, line, column, rule.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	facts := BuildFacts(pkgs)
-	factsHash := ""
-	if r.Cache != nil {
-		factsHash = facts.Hash()
-	}
-	ruleIDs := make([]string, len(r.Rules))
-	for i, rule := range r.Rules {
-		ruleIDs[i] = rule.ID()
-	}
 
 	// Per-package parallelism: rules are stateless and the typed ASTs
 	// are read-only after load, so packages lint independently.
@@ -177,14 +161,12 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = r.lintPackage(pkgs[i], facts, factsHash, ruleIDs)
+			results[i] = r.lintPackage(pkgs[i], facts)
 		}(i)
 	}
 	wg.Wait()
 
-	// The file-based suppressions are applied after the cache layer:
-	// cached entries hold the full (post-inline-ignore) diagnostic set,
-	// so editing .positlint.suppress never requires re-analysis.
+	// File-based suppressions apply after inline ignores.
 	var out []Diagnostic
 	for _, diags := range results {
 		for _, d := range diags {
@@ -199,17 +181,8 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 }
 
 // lintPackage produces one package's diagnostics (after inline-ignore
-// filtering, before file-based suppression), consulting the cache.
-func (r *Runner) lintPackage(pkg *Package, facts *FactIndex, factsHash string, ruleIDs []string) []Diagnostic {
-	var key string
-	if r.Cache != nil {
-		if k, err := r.Cache.key(pkg, ruleIDs, factsHash); err == nil {
-			key = k
-			if diags, ok := r.Cache.get(key); ok {
-				return diags
-			}
-		}
-	}
+// filtering, before file-based suppression).
+func (r *Runner) lintPackage(pkg *Package, facts *FactIndex) []Diagnostic {
 	pass := pkg.pass()
 	pass.Facts = facts
 	entries, bad := inlineIgnores(pass)
@@ -224,9 +197,6 @@ func (r *Runner) lintPackage(pkg *Package, facts *FactIndex, factsHash string, r
 		}
 	}
 	sortDiagnostics(out)
-	if r.Cache != nil && key != "" {
-		r.Cache.put(key, out)
-	}
 	return out
 }
 

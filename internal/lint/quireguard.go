@@ -23,7 +23,7 @@ import (
 // &Quire{...} and friends) and fires when:
 //
 //   - the function accumulates into the quire (AddPosit, SubPosit,
-//     AddProduct, SubProduct — directly, or through a helper the fact
+//     AddProduct — directly, or through a helper the fact
 //     index recorded as accumulating into a quire parameter, in any
 //     package) but never consults IsNaR and never rounds out through
 //     ToPosit, and the quire does not escape to a caller who could;
@@ -95,7 +95,7 @@ func (r *QuireGuard) Check(pass *Pass) []Diagnostic {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 				if st := local(rootIdentObject(pass, sel.X)); st != nil {
 					switch sel.Sel.Name {
-					case "AddPosit", "SubPosit", "AddProduct", "SubProduct":
+					case "AddPosit", "SubPosit", "AddProduct":
 						if st.accumPos == nil {
 							st.accumPos = call
 						}

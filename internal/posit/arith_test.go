@@ -332,7 +332,7 @@ func TestIsqrt128(t *testing.T) {
 	}
 }
 
-// TestWrapperTypes smoke-tests the four concrete wrapper types.
+// TestWrapperTypes smoke-tests the Posit32 wrapper type.
 func TestWrapperTypes(t *testing.T) {
 	p := P32FromFloat64(2.5)
 	q := P32FromFloat64(1.5)
@@ -359,59 +359,5 @@ func TestWrapperTypes(t *testing.T) {
 	}
 	if p.String() != "2.5" || P32FromBits(0x80000000).String() != "NaR" || P32FromBits(0).String() != "0" {
 		t.Errorf("posit32 String: %q %q", p.String(), P32FromBits(0x80000000).String())
-	}
-
-	p16 := P16FromFloat64(2.5)
-	if p16.Add(P16FromFloat64(1.5)).Float64() != 4 || p16.Mul(P16FromFloat64(2)).Float64() != 5 {
-		t.Error("posit16 arith")
-	}
-	if P16FromBits(p16.Bits()) != p16 || p16.Neg().Neg() != p16 {
-		t.Error("posit16 bits/neg")
-	}
-	if P16FromFloat64(4).Sqrt().Float64() != 2 || P16FromFloat64(5).Div(P16FromFloat64(2)).Float64() != 2.5 {
-		t.Error("posit16 sqrt/div")
-	}
-	if P16FromFloat64(1).Fields().R != 0 {
-		t.Error("posit16 fields")
-	}
-
-	p8 := P8FromFloat64(2)
-	if p8.Add(P8FromFloat64(2)).Float64() != 4 || p8.Sub(P8FromFloat64(1)).Float64() != 1 {
-		t.Error("posit8 arith")
-	}
-	if p8.Div(P8FromFloat64(2)).Float64() != 1 || P8FromFloat64(16).Sqrt().Float64() != 4 {
-		t.Error("posit8 div/sqrt")
-	}
-	if p8.Cmp(P8FromFloat64(3)) != -1 || !P8FromBits(0x80).IsNaR() {
-		t.Error("posit8 cmp/nar")
-	}
-	if p8.Abs() != p8 || p8.Neg().Abs() != p8 || !P8FromBits(0).IsZero() {
-		t.Error("posit8 abs/zero")
-	}
-
-	p64 := P64FromFloat64(1e10)
-	if p64.Float64() != 1e10 {
-		t.Error("posit64 round trip 1e10")
-	}
-	if p64.Mul(P64FromFloat64(2)).Float64() != 2e10 || p64.Div(p64).Float64() != 1 {
-		t.Error("posit64 arith")
-	}
-	if p64.Add(p64.Neg()).Float64() != 0 || p64.Sub(p64).Float64() != 0 {
-		t.Error("posit64 cancellation")
-	}
-	if P64FromFloat64(4).Sqrt().Float64() != 2 || p64.Cmp(P64FromFloat64(1)) != 1 {
-		t.Error("posit64 sqrt/cmp")
-	}
-	if P64FromBits(Std64.NaR()).String() != "NaR" || !P64FromBits(Std64.NaR()).IsNaR() {
-		t.Error("posit64 NaR")
-	}
-	if P64FromBits(0).Abs() != 0 || !P64FromBits(0).IsZero() {
-		t.Error("posit64 zero")
-	}
-	if p8.String() == "" || p16.String() == "" || p64.String() == "" {
-		t.Error("String renders")
-	}
-	if p8.Fields().Cfg != Std8 || p64.Fields().Cfg != Std64 {
-		t.Error("Fields cfg")
 	}
 }

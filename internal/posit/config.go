@@ -1,5 +1,5 @@
 // Package posit implements the posit number system (Posit Standard 2022,
-// Gustafson et al.) in pure Go. It is a drop-in replacement for the
+// Gustafson et al.) in pure Go. It replaces the
 // SoftPosit C library used by the paper "Evaluating the Resiliency of
 // Posits for Scientific Computing" (SC-W 2023): it provides bit-exact
 // encode/decode between IEEE-754 float64 and posits of any width,
@@ -76,18 +76,6 @@ func (c Config) MaxScale() int { return (c.N - 2) << uint(c.ES) }
 // Each unit of regime value scales a posit by useed.
 func (c Config) Useed() float64 {
 	return float64(uint64(1) << (uint64(1) << uint(c.ES)))
-}
-
-// MaxFracLen returns the largest possible fraction length for this
-// configuration: N - 1 (sign) - 2 (shortest regime) - ES.
-// It is never negative for valid configurations with N >= 3+ES; for
-// tiny widths it is clamped at zero.
-func (c Config) MaxFracLen() int {
-	m := c.N - 3 - c.ES
-	if m < 0 {
-		m = 0
-	}
-	return m
 }
 
 // Canon reduces bits to the canonical N-bit pattern (masking away any

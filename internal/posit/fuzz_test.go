@@ -82,48 +82,3 @@ func FuzzAddAgainstRat(f *testing.F) {
 		}
 	})
 }
-
-func FuzzParse(f *testing.F) {
-	f.Add("0")
-	f.Add("186.25")
-	f.Add("-1e-30")
-	f.Add("NaR")
-	f.Add("3/4")
-	f.Add("1.7976931348623157e308")
-	f.Add("not a number")
-	f.Fuzz(func(t *testing.T, s string) {
-		b, err := Parse(Std32, s)
-		if err != nil {
-			return // rejected input
-		}
-		if b != Std32.Canon(b) {
-			t.Fatalf("Parse(%q) produced non-canonical bits", s)
-		}
-		// Whatever parsed must format and re-parse to the same pattern.
-		out := Format(Std32, b, 'g', -1)
-		back, err := Parse(Std32, out)
-		if err != nil || back != b {
-			t.Fatalf("Parse(%q)=%#x, reformat %q reparsed to %#x (%v)", s, b, out, back, err)
-		}
-	})
-}
-
-func FuzzQuireFMA(f *testing.F) {
-	f.Add(uint32(0x40000000), uint32(0x40000000), uint32(0xC0000000))
-	f.Add(uint32(1), uint32(0x7FFFFFFF), uint32(0))
-	f.Fuzz(func(t *testing.T, a, b, c uint32) {
-		x, y, z := uint64(a), uint64(b), uint64(c)
-		if x == Std32.NaR() || y == Std32.NaR() || z == Std32.NaR() {
-			return
-		}
-		// FMA and a quire computing x*y + z must agree exactly (both
-		// are single-rounding).
-		got := FMA(Std32, x, y, z)
-		q := NewQuire(Std32)
-		q.AddProduct(x, y)
-		q.AddPosit(z)
-		if want := q.ToPosit(); got != want {
-			t.Fatalf("FMA(%#x,%#x,%#x) = %#x, quire says %#x", x, y, z, got, want)
-		}
-	})
-}

@@ -194,32 +194,6 @@ func TestQuickQuireMatchesRationalSum(t *testing.T) {
 	}
 }
 
-// TestQuickConvertWidenExact: widening to posit64 is lossless.
-func TestQuickConvertWidenExact(t *testing.T) {
-	f := func(raw uint32) bool {
-		b := canon32(raw)
-		w := Convert(Std32, Std64, b)
-		return Convert(Std64, Std32, w) == b
-	}
-	if err := quick.Check(f, qcfg(10000)); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickFormatParseRoundTrip: shortest decimal formatting
-// round-trips arbitrary patterns.
-func TestQuickFormatParseRoundTrip(t *testing.T) {
-	f := func(raw uint32) bool {
-		b := uint64(raw)
-		s := Format(Std32, b, 'g', -1)
-		back, err := Parse(Std32, s)
-		return err == nil && back == b
-	}
-	if err := quick.Check(f, qcfg(1500)); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickFieldsReassemble: decomposing a pattern into fields and
 // re-assembling the payload bit spans reproduces the pattern.
 func TestQuickFieldsReassemble(t *testing.T) {

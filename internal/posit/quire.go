@@ -53,9 +53,6 @@ func (q *Quire) SubPosit(p uint64) { q.fma(p, EncodeFloat64(q.cfg, 1), true) }
 // rounded).
 func (q *Quire) AddProduct(a, b uint64) { q.fma(a, b, false) }
 
-// SubProduct accumulates q -= a×b exactly.
-func (q *Quire) SubProduct(a, b uint64) { q.fma(a, b, true) }
-
 func (q *Quire) fma(a, b uint64, subtract bool) {
 	if q.nar {
 		return
@@ -218,56 +215,4 @@ func DotP32(a, b []Posit32) Posit32 {
 		q.AddProduct(uint64(a[i]), uint64(b[i]))
 	}
 	return Posit32(q.ToPosit())
-}
-
-// SumP32 computes the exact sum of a posit32 slice through a quire.
-func SumP32(a []Posit32) Posit32 {
-	q := NewQuire(Std32)
-	for _, p := range a {
-		q.AddPosit(uint64(p))
-	}
-	return Posit32(q.ToPosit())
-}
-
-// DotP16 computes the exact dot product of two posit16 slices.
-func DotP16(a, b []Posit16) Posit16 {
-	if len(a) != len(b) {
-		panic("posit: DotP16 length mismatch")
-	}
-	q := NewQuire(Std16)
-	for i := range a {
-		q.AddProduct(uint64(a[i]), uint64(b[i]))
-	}
-	return Posit16(q.ToPosit())
-}
-
-// SumP16 computes the exact sum of a posit16 slice.
-func SumP16(a []Posit16) Posit16 {
-	q := NewQuire(Std16)
-	for _, p := range a {
-		q.AddPosit(uint64(p))
-	}
-	return Posit16(q.ToPosit())
-}
-
-// DotP64 computes the exact dot product of two posit64 slices through
-// the 1024-bit quire.
-func DotP64(a, b []Posit64) Posit64 {
-	if len(a) != len(b) {
-		panic("posit: DotP64 length mismatch")
-	}
-	q := NewQuire(Std64)
-	for i := range a {
-		q.AddProduct(uint64(a[i]), uint64(b[i]))
-	}
-	return Posit64(q.ToPosit())
-}
-
-// SumP64 computes the exact sum of a posit64 slice.
-func SumP64(a []Posit64) Posit64 {
-	q := NewQuire(Std64)
-	for _, p := range a {
-		q.AddPosit(uint64(p))
-	}
-	return Posit64(q.ToPosit())
 }

@@ -9,10 +9,7 @@ import (
 	"math/big"
 )
 
-var (
-	ratOne = big.NewRat(1, 1)
-	ratTwo = big.NewRat(2, 1)
-)
+var ratTwo = big.NewRat(2, 1)
 
 // pow2Rat returns 2^e as a big.Rat for any integer e.
 func pow2Rat(e int) *big.Rat {
@@ -48,19 +45,20 @@ func refRoundRat(cfg Config, v *big.Rat) uint64 {
 		h++
 	}
 
-	// t = av / 2^h - 1 ∈ [0, 1); extract 64 tail bits by doubling.
-	t := new(big.Rat).Quo(av, pow2Rat(h))
-	t.Sub(t, ratOne)
-	var tail uint64
-	for i := 0; i < 64; i++ {
-		t.Mul(t, ratTwo)
-		tail <<= 1
-		if t.Cmp(ratOne) >= 0 {
-			tail |= 1
-			t.Sub(t, ratOne)
-		}
+	// t = av / 2^h - 1 ∈ [0, 1): its first 64 binary digits are
+	// floor(t × 2^64), and a nonzero remainder is the sticky bit.
+	num := new(big.Int).Set(av.Num())
+	den := new(big.Int).Set(av.Denom())
+	if h >= 0 {
+		den.Lsh(den, uint(h))
+	} else {
+		num.Lsh(num, uint(-h))
 	}
-	sticky := t.Sign() != 0
+	num.Sub(num, den)
+	num.Lsh(num, 64)
+	q, rem := num.QuoRem(num, den, new(big.Int))
+	tail := q.Uint64()
+	sticky := rem.Sign() != 0
 
 	p := assemble(cfg, h, tail, sticky)
 	if sign < 0 {

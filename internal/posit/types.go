@@ -55,178 +55,7 @@ func (p Posit32) Sqrt() Posit32 { return Posit32(Sqrt(Std32, uint64(p))) }
 // Cmp compares p and q (-1, 0, +1); NaR sorts below all reals.
 func (p Posit32) Cmp(q Posit32) int { return Cmp(Std32, uint64(p), uint64(q)) }
 
-// Fields returns the field decomposition of the raw pattern.
-func (p Posit32) Fields() Fields { return DecodeFields(Std32, uint64(p)) }
-
 func (p Posit32) String() string { return formatPosit(Std32, uint64(p)) }
-
-// Posit16 is a 16-bit standard posit (es = 2).
-type Posit16 uint16
-
-// P16FromFloat64 rounds x to the nearest 16-bit posit.
-func P16FromFloat64(x float64) Posit16 { return Posit16(EncodeFloat64(Std16, x)) }
-
-// P16FromBits reinterprets a raw bit pattern as a posit.
-func P16FromBits(b uint16) Posit16 { return Posit16(b) }
-
-// Bits returns the raw bit pattern.
-func (p Posit16) Bits() uint16 { return uint16(p) }
-
-// Float64 decodes the posit to float64 (exact).
-func (p Posit16) Float64() float64 { return DecodeFloat64(Std16, uint64(p)) }
-
-// IsNaR reports whether p is Not-a-Real.
-func (p Posit16) IsNaR() bool { return uint64(p) == Std16.NaR() }
-
-// IsZero reports whether p is zero.
-func (p Posit16) IsZero() bool { return p == 0 }
-
-// Neg returns -p.
-func (p Posit16) Neg() Posit16 { return Posit16(Std16.Negate(uint64(p))) }
-
-// Abs returns |p|.
-func (p Posit16) Abs() Posit16 {
-	if Std16.IsNeg(uint64(p)) && !p.IsNaR() {
-		return p.Neg()
-	}
-	return p
-}
-
-// Add returns the correctly rounded sum p + q.
-func (p Posit16) Add(q Posit16) Posit16 { return Posit16(Add(Std16, uint64(p), uint64(q))) }
-
-// Sub returns the correctly rounded difference p - q.
-func (p Posit16) Sub(q Posit16) Posit16 { return Posit16(Sub(Std16, uint64(p), uint64(q))) }
-
-// Mul returns the correctly rounded product p × q.
-func (p Posit16) Mul(q Posit16) Posit16 { return Posit16(Mul(Std16, uint64(p), uint64(q))) }
-
-// Div returns the correctly rounded quotient p ÷ q.
-func (p Posit16) Div(q Posit16) Posit16 { return Posit16(Div(Std16, uint64(p), uint64(q))) }
-
-// Sqrt returns the correctly rounded square root of p.
-func (p Posit16) Sqrt() Posit16 { return Posit16(Sqrt(Std16, uint64(p))) }
-
-// Cmp compares p and q (-1, 0, +1).
-func (p Posit16) Cmp(q Posit16) int { return Cmp(Std16, uint64(p), uint64(q)) }
-
-// Fields returns the field decomposition of the raw pattern.
-func (p Posit16) Fields() Fields { return DecodeFields(Std16, uint64(p)) }
-
-func (p Posit16) String() string { return formatPosit(Std16, uint64(p)) }
-
-// Posit8 is an 8-bit standard posit (es = 2).
-type Posit8 uint8
-
-// P8FromFloat64 rounds x to the nearest 8-bit posit.
-func P8FromFloat64(x float64) Posit8 { return Posit8(EncodeFloat64(Std8, x)) }
-
-// P8FromBits reinterprets a raw bit pattern as a posit.
-func P8FromBits(b uint8) Posit8 { return Posit8(b) }
-
-// Bits returns the raw bit pattern.
-func (p Posit8) Bits() uint8 { return uint8(p) }
-
-// Float64 decodes the posit to float64 (exact).
-func (p Posit8) Float64() float64 { return DecodeFloat64(Std8, uint64(p)) }
-
-// IsNaR reports whether p is Not-a-Real.
-func (p Posit8) IsNaR() bool { return uint64(p) == Std8.NaR() }
-
-// IsZero reports whether p is zero.
-func (p Posit8) IsZero() bool { return p == 0 }
-
-// Neg returns -p.
-func (p Posit8) Neg() Posit8 { return Posit8(Std8.Negate(uint64(p))) }
-
-// Abs returns |p|.
-func (p Posit8) Abs() Posit8 {
-	if Std8.IsNeg(uint64(p)) && !p.IsNaR() {
-		return p.Neg()
-	}
-	return p
-}
-
-// Add returns the correctly rounded sum p + q.
-func (p Posit8) Add(q Posit8) Posit8 { return Posit8(Add(Std8, uint64(p), uint64(q))) }
-
-// Sub returns the correctly rounded difference p - q.
-func (p Posit8) Sub(q Posit8) Posit8 { return Posit8(Sub(Std8, uint64(p), uint64(q))) }
-
-// Mul returns the correctly rounded product p × q.
-func (p Posit8) Mul(q Posit8) Posit8 { return Posit8(Mul(Std8, uint64(p), uint64(q))) }
-
-// Div returns the correctly rounded quotient p ÷ q.
-func (p Posit8) Div(q Posit8) Posit8 { return Posit8(Div(Std8, uint64(p), uint64(q))) }
-
-// Sqrt returns the correctly rounded square root of p.
-func (p Posit8) Sqrt() Posit8 { return Posit8(Sqrt(Std8, uint64(p))) }
-
-// Cmp compares p and q (-1, 0, +1).
-func (p Posit8) Cmp(q Posit8) int { return Cmp(Std8, uint64(p), uint64(q)) }
-
-// Fields returns the field decomposition of the raw pattern.
-func (p Posit8) Fields() Fields { return DecodeFields(Std8, uint64(p)) }
-
-func (p Posit8) String() string { return formatPosit(Std8, uint64(p)) }
-
-// Posit64 is a 64-bit standard posit (es = 2). Conversions to float64
-// may round (posit64 fractions hold up to 59 bits, float64 holds 52);
-// conversions from float64 are exact whenever the scale is in range.
-type Posit64 uint64
-
-// P64FromFloat64 rounds x to the nearest 64-bit posit.
-func P64FromFloat64(x float64) Posit64 { return Posit64(EncodeFloat64(Std64, x)) }
-
-// P64FromBits reinterprets a raw bit pattern as a posit.
-func P64FromBits(b uint64) Posit64 { return Posit64(b) }
-
-// Bits returns the raw bit pattern.
-func (p Posit64) Bits() uint64 { return uint64(p) }
-
-// Float64 decodes the posit to float64, rounding once if the fraction
-// exceeds float64 precision.
-func (p Posit64) Float64() float64 { return DecodeFloat64(Std64, uint64(p)) }
-
-// IsNaR reports whether p is Not-a-Real.
-func (p Posit64) IsNaR() bool { return uint64(p) == Std64.NaR() }
-
-// IsZero reports whether p is zero.
-func (p Posit64) IsZero() bool { return p == 0 }
-
-// Neg returns -p.
-func (p Posit64) Neg() Posit64 { return Posit64(Std64.Negate(uint64(p))) }
-
-// Abs returns |p|.
-func (p Posit64) Abs() Posit64 {
-	if Std64.IsNeg(uint64(p)) && !p.IsNaR() {
-		return p.Neg()
-	}
-	return p
-}
-
-// Add returns the correctly rounded sum p + q.
-func (p Posit64) Add(q Posit64) Posit64 { return Posit64(Add(Std64, uint64(p), uint64(q))) }
-
-// Sub returns the correctly rounded difference p - q.
-func (p Posit64) Sub(q Posit64) Posit64 { return Posit64(Sub(Std64, uint64(p), uint64(q))) }
-
-// Mul returns the correctly rounded product p × q.
-func (p Posit64) Mul(q Posit64) Posit64 { return Posit64(Mul(Std64, uint64(p), uint64(q))) }
-
-// Div returns the correctly rounded quotient p ÷ q.
-func (p Posit64) Div(q Posit64) Posit64 { return Posit64(Div(Std64, uint64(p), uint64(q))) }
-
-// Sqrt returns the correctly rounded square root of p.
-func (p Posit64) Sqrt() Posit64 { return Posit64(Sqrt(Std64, uint64(p))) }
-
-// Cmp compares p and q (-1, 0, +1).
-func (p Posit64) Cmp(q Posit64) int { return Cmp(Std64, uint64(p), uint64(q)) }
-
-// Fields returns the field decomposition of the raw pattern.
-func (p Posit64) Fields() Fields { return DecodeFields(Std64, uint64(p)) }
-
-func (p Posit64) String() string { return formatPosit(Std64, uint64(p)) }
 
 func formatPosit(cfg Config, b uint64) string {
 	b = cfg.Canon(b)

@@ -136,13 +136,28 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 // JSON aggregate view of a result instead of the CSV rows. Only an
 // explicit application/json (or +json) request switches — absent,
 // wildcard and text/csv headers keep the original CSV behavior, so
-// every pre-negotiation client sees byte-identical responses.
+// every pre-negotiation client sees byte-identical responses. A
+// range with q=0 is a refusal, not a request, and is skipped.
 func acceptsAggregate(accept string) bool {
 	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
-		if mt == "application/json" || strings.HasSuffix(mt, "+json") {
+		params := strings.Split(part, ";")
+		mt := strings.TrimSpace(params[0])
+		if (mt == "application/json" || strings.HasSuffix(mt, "+json")) && !refused(params[1:]) {
 			return true
 		}
+	}
+	return false
+}
+
+// refused reports whether a media range's parameters carry q=0.
+func refused(params []string) bool {
+	for _, p := range params {
+		name, value, ok := strings.Cut(strings.TrimSpace(p), "=")
+		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
+			continue
+		}
+		q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+		return err == nil && q == 0
 	}
 	return false
 }

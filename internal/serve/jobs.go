@@ -645,7 +645,10 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 		refs, ok := existingResults(dir, j.id, runner.SpecsOf(&j.req))
 		if ok {
 			j.state = jobComplete
-			j.finishedAt = created
+			// The manifest was first written when the run started and
+			// last written when it completed.
+			j.startedAt = parseManifestTime(man.CreatedAt)
+			j.finishedAt = parseManifestTime(man.UpdatedAt)
 			j.results = refs
 			j.counts = ShardCounts{Resumed: len(man.Shards), Total: len(man.Shards)}
 			close(j.done)
@@ -655,6 +658,16 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 		// publication): resume replays the journal and republishes.
 	}
 	return j, true, nil
+}
+
+// parseManifestTime reads an RFC 3339 manifest timestamp. An
+// unreadable one yields the zero time, which the status document omits.
+func parseManifestTime(v string) time.Time {
+	t, err := time.Parse(time.RFC3339, v)
+	if err != nil {
+		return time.Time{}
+	}
+	return t
 }
 
 // existingResults checks for every spec's published result — a sealed

@@ -67,8 +67,9 @@ func TestResultsContentNegotiation(t *testing.T) {
 		t.Fatalf("default CSV starts %q", csvDefault[:min(len(csvDefault), 40)])
 	}
 
-	// An explicit CSV (or wildcard) Accept must not switch views.
-	for _, accept := range []string{"text/csv", "*/*", "text/*, */*;q=0.1"} {
+	// An explicit CSV (or wildcard) Accept must not switch views, and
+	// neither may a JSON range the client refuses with q=0.
+	for _, accept := range []string{"text/csv", "*/*", "text/*, */*;q=0.1", "application/json;q=0, text/csv"} {
 		resp := getWithAccept(t, url, accept)
 		var buf bytes.Buffer
 		if _, err := buf.ReadFrom(resp.Body); err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"positres/internal/runner"
 	"positres/internal/spec"
 	"positres/internal/store"
 )
@@ -446,6 +447,15 @@ func TestRecovery(t *testing.T) {
 	}
 	if got := statusOf(j2); got.State != "complete" || len(got.Results) != 1 {
 		t.Fatalf("recovered terminal job = %+v", got)
+	}
+	// Its timestamps come from the manifest the run left behind.
+	man, err := runner.ReadManifest(j2.stateDir())
+	if err != nil || man == nil {
+		t.Fatalf("read manifest: %v", err)
+	}
+	if got := statusOf(j2); got.StartedAt != man.CreatedAt || got.FinishedAt != man.UpdatedAt || got.StartedAt == "" {
+		t.Errorf("recovered started_at/finished_at = %q/%q, want manifest %q/%q",
+			got.StartedAt, got.FinishedAt, man.CreatedAt, man.UpdatedAt)
 	}
 
 	// Delete the published store (simulating a crash between manifest

@@ -113,11 +113,6 @@ func NewMoments() Moments { return Moments{m: newMoments()} }
 // Summarize's treatment of special values.
 func (a *Moments) Add(x float64) { a.m.add(x) }
 
-// Merge combines another accumulator into a, as if a had also seen
-// every value o saw (Chan et al. pairwise update, exact for count,
-// min and max; mean and variance reassociate).
-func (a *Moments) Merge(o Moments) { a.m.merge(o.m) }
-
 // N reports how many finite values have been folded in.
 func (a *Moments) N() int { return a.m.n }
 

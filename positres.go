@@ -2,11 +2,11 @@
 // Resiliency of Posits for Scientific Computing" (Schlueter, Poulos,
 // Calhoun — SC-W 2023). It bundles:
 //
-//   - a from-scratch posit arithmetic library implementing the 2022
-//     posit standard (8/16/32/64-bit, es = 2, plus legacy es values),
-//     with correctly rounded conversions and arithmetic, two's-
-//     complement negation, NaR, and the quire accumulator — a drop-in
-//     replacement for the SoftPosit C library the paper used;
+//   - a from-scratch posit codec implementing the 2022 posit standard
+//     (8/16/32/64-bit, es = 2, plus legacy es values), with correctly
+//     rounded encode, basic arithmetic, two's-complement negation,
+//     NaR, and the quire accumulator — replacing the SoftPosit C
+//     library the paper used;
 //   - bit-level IEEE-754 tooling (binary16/bfloat16/binary32/binary64)
 //     with the Elliott et al. closed-form flip error model;
 //   - deterministic synthetic stand-ins for the paper's SDRBench
@@ -34,21 +34,14 @@ import (
 	"positres/internal/serve"
 	"positres/internal/spec"
 	"positres/internal/stats"
-	"positres/internal/store"
 	"positres/internal/telemetry"
 	"positres/internal/textplot"
 )
 
 // Posit types and constructors (the SoftPosit-replacement substrate).
 type (
-	// Posit8 is an 8-bit standard posit (es = 2).
-	Posit8 = posit.Posit8
-	// Posit16 is a 16-bit standard posit (es = 2).
-	Posit16 = posit.Posit16
 	// Posit32 is a 32-bit standard posit (es = 2), the paper's format.
 	Posit32 = posit.Posit32
-	// Posit64 is a 64-bit standard posit (es = 2).
-	Posit64 = posit.Posit64
 	// PositConfig describes an arbitrary posit format (width, es).
 	PositConfig = posit.Config
 	// PositFields is a posit's field decomposition (sign, regime,
@@ -58,36 +51,18 @@ type (
 	Quire = posit.Quire
 )
 
-// Standard posit configurations (es = 2).
-var (
-	Std8  = posit.Std8
-	Std16 = posit.Std16
-	Std32 = posit.Std32
-	Std64 = posit.Std64
-)
+// Std32 is the standard posit32 configuration (es = 2).
+var Std32 = posit.Std32
 
 // Posit constructors and helpers.
 var (
-	P8FromFloat64  = posit.P8FromFloat64
-	P16FromFloat64 = posit.P16FromFloat64
 	P32FromFloat64 = posit.P32FromFloat64
-	P64FromFloat64 = posit.P64FromFloat64
-	P8FromBits     = posit.P8FromBits
-	P16FromBits    = posit.P16FromBits
 	P32FromBits    = posit.P32FromBits
-	P64FromBits    = posit.P64FromBits
-	P32FromInt64   = posit.P32FromInt64
-	P64FromInt64   = posit.P64FromInt64
 	// NewQuire returns an exact accumulator for a posit configuration.
 	NewQuire = posit.NewQuire
-	// DotP32 / SumP32 / GemmP32 / MatVecP32 / Norm2P32 compute
-	// quire-exact reductions (single rounding per result, order
-	// independent).
-	DotP32    = posit.DotP32
-	SumP32    = posit.SumP32
-	GemmP32   = posit.GemmP32
-	MatVecP32 = posit.MatVecP32
-	Norm2P32  = posit.Norm2P32
+	// DotP32 computes a quire-exact dot product (single rounding,
+	// order independent).
+	DotP32 = posit.DotP32
 	// PositBitString renders a pattern with field separators
 	// ("0|110|11|…"), the notation of the paper's worked examples.
 	PositBitString = posit.BitString
@@ -98,22 +73,14 @@ var (
 // IEEE-754 formats.
 type IEEEFormat = ieee754.Format
 
-var (
-	Binary16 = ieee754.Binary16
-	BFloat16 = ieee754.BFloat16
-	Binary32 = ieee754.Binary32
-	Binary64 = ieee754.Binary64
-)
+// Binary32 is IEEE-754 single precision, the paper's baseline.
+var Binary32 = ieee754.Binary32
 
 // Codec is the number-format abstraction campaigns run over.
 type Codec = numfmt.Codec
 
-var (
-	// LookupFormat finds a codec by name ("posit32", "ieee32", …).
-	LookupFormat = numfmt.Lookup
-	// FormatNames lists all registered codecs.
-	FormatNames = numfmt.Names
-)
+// LookupFormat finds a codec by name ("posit32", "ieee32", …).
+var LookupFormat = numfmt.Lookup
 
 // Campaign engine (the paper's contribution).
 type (
@@ -133,9 +100,8 @@ var (
 	DefaultCampaignConfig = core.DefaultConfig
 	// AggregateByBit reduces trials to per-bit error curves.
 	AggregateByBit = core.AggregateByBit
-	// WriteTrialsCSV / ReadTrialsCSV persist trial logs.
+	// WriteTrialsCSV persists a trial log.
 	WriteTrialsCSV = core.WriteTrialsCSV
-	ReadTrialsCSV  = core.ReadTrialsCSV
 )
 
 // RunCampaign executes a campaign for one codec over one field's
@@ -144,19 +110,10 @@ func RunCampaign(cfg CampaignConfig, codec Codec, fieldKey string, data []float6
 	return core.Run(context.Background(), cfg, codec, fieldKey, data)
 }
 
-// RunCampaignContext is RunCampaign with cancellation: the worker pool
-// drains at bit granularity when ctx is cancelled and the context's
-// error is returned instead of a partial result.
-func RunCampaignContext(ctx context.Context, cfg CampaignConfig, codec Codec, fieldKey string, data []float64) (*CampaignResult, error) {
-	return core.Run(ctx, cfg, codec, fieldKey, data)
-}
-
 // Datasets (synthetic SDRBench stand-ins).
 type DatasetField = sdrbench.Field
 
 var (
-	// DatasetFields lists the paper's 16 evaluation fields (Table 1).
-	DatasetFields = sdrbench.Fields
 	// LookupField finds a field by "Dataset/Name".
 	LookupField = sdrbench.Lookup
 	// WidenFloat32 converts generated float32 data for the campaign.
@@ -179,9 +136,7 @@ type (
 
 var (
 	AnalyzePositFlip = analysis.AnalyzePositFlip
-	SweepPositFlips  = analysis.SweepPositFlips
 	AnalyzeIEEEFlip  = analysis.AnalyzeIEEEFlip
-	SweepIEEEFlips   = analysis.SweepIEEEFlips
 )
 
 // Figures: regenerate the paper's tables and plots.
@@ -195,19 +150,14 @@ type (
 )
 
 var (
-	// PaperBudget uses the paper's 313 trials per bit.
-	PaperBudget = figures.PaperBudget
 	// QuickBudget runs every figure in well under a second.
 	QuickBudget = figures.QuickBudget
 
 	Table1 = figures.Table1
-	Fig3   = figures.Fig3
 	Fig7   = figures.Fig7
 	Fig10  = figures.Fig10
 	Fig11  = figures.Fig11
 	Fig14  = figures.Fig14
-	Fig16  = figures.Fig16
-	Fig18  = figures.Fig18
 	Fig20  = figures.Fig20
 
 	// Extension experiments: mid-solve fault impact, SEC-DED
@@ -252,50 +202,7 @@ var (
 	// directory: journaled shards, crash-safe resume, bounded retries
 	// (and, under positserve coordinator mode, distributed fan-out).
 	RunDurable = runner.Run
-	// ExpandSpecs expands a CampaignSpec into its (field, codec) matrix.
-	ExpandSpecs = runner.SpecsOf
 	// NewServeClient dials a positserve instance (coordinator or
 	// worker).
 	NewServeClient = serve.NewClient
-)
-
-// The columnar trial store and its aggregate documents: the durable,
-// bounded-memory representation of campaign results (docs/STORE.md).
-// A store renders its rows as CSV byte-identical to WriteTrialsCSV
-// and carries O(fields×bits) online aggregates in its footer, which
-// is also what the results API serves as positres-aggregate/v1 JSON.
-type (
-	// TrialStoreWriter appends trial shards to one .pts column store,
-	// folding every row into the footer aggregates as it goes.
-	TrialStoreWriter = store.Writer
-	// TrialStoreReader reads a sealed .pts store: rows (as CSV),
-	// blocks, and the footer aggregates — without loading trials.
-	TrialStoreReader = store.Reader
-	// CampaignStoreWriter manages one TrialStoreWriter per
-	// (field, format) pair of a campaign; it is the runner.Config.Sink
-	// the service and CLI plug in.
-	CampaignStoreWriter = store.CampaignWriter
-	// AggregateDoc is the positres-aggregate/v1 summary document
-	// served by GET /v1/campaigns/{id}/results under
-	// Accept: application/json.
-	AggregateDoc = store.AggregateDoc
-	// AggregateBitSummary is one bit position's entry in an
-	// AggregateDoc.
-	AggregateBitSummary = store.BitSummary
-)
-
-var (
-	// OpenTrialStore opens a sealed .pts store for reading.
-	OpenTrialStore = store.Open
-	// NewTrialStoreWriter creates a .pts store for one (field, codec).
-	NewTrialStoreWriter = store.NewWriter
-	// NewCampaignStoreWriter creates a per-campaign store directory
-	// writer, suitable as a RunnerConfig.Sink.
-	NewCampaignStoreWriter = store.NewCampaignWriter
-	// TrialStoreFileName is the canonical .pts file name for a
-	// (field, format) pair.
-	TrialStoreFileName = store.FileName
-	// ReadAggregateDoc parses and schema-checks a
-	// positres-aggregate/v1 JSON document.
-	ReadAggregateDoc = store.ReadDoc
 )

@@ -6,7 +6,6 @@ package positres_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -31,17 +30,6 @@ func TestFacadePositArithmetic(t *testing.T) {
 	if f.K != 2 || f.R != 1 {
 		t.Errorf("fields: %+v", f)
 	}
-	// All four widths are exposed.
-	if positres.P8FromFloat64(2).Float64() != 2 || positres.P16FromFloat64(2).Float64() != 2 ||
-		positres.P64FromFloat64(2).Float64() != 2 {
-		t.Error("width constructors")
-	}
-	if positres.P8FromBits(0x80).Float64() == positres.P8FromBits(0x80).Float64() {
-		// NaR compares unequal through NaN; just ensure IsNaR.
-		if !positres.P8FromBits(0x80).IsNaR() {
-			t.Error("NaR")
-		}
-	}
 }
 
 func TestFacadeQuire(t *testing.T) {
@@ -56,26 +44,15 @@ func TestFacadeQuire(t *testing.T) {
 	if positres.DotP32(a, b).Float64() != 50 {
 		t.Error("DotP32")
 	}
-	if positres.SumP32(a).Float64() != 3 {
-		t.Error("SumP32")
-	}
 }
 
 func TestFacadeFormatsAndFields(t *testing.T) {
-	names := positres.FormatNames()
-	if len(names) < 10 {
-		t.Fatalf("formats: %v", names)
-	}
 	c, err := positres.LookupFormat("posit32")
 	if err != nil || c.Width() != 32 {
 		t.Fatal("LookupFormat")
 	}
 	if _, err := positres.LookupFormat("nope"); err == nil {
 		t.Error("unknown format should error")
-	}
-	fields := positres.DatasetFields()
-	if len(fields) != 16 {
-		t.Fatalf("fields: %d", len(fields))
 	}
 	f, err := positres.LookupField("CESM/CLOUD")
 	if err != nil {
@@ -114,14 +91,13 @@ func TestFacadeCampaign(t *testing.T) {
 	if len(aggs) != 16 {
 		t.Fatalf("aggs: %d", len(aggs))
 	}
-	// CSV round trip through the facade.
+	// CSV through the facade: header plus one row per trial.
 	var buf bytes.Buffer
 	if err := positres.WriteTrialsCSV(&buf, res.Trials); err != nil {
 		t.Fatal(err)
 	}
-	back, err := positres.ReadTrialsCSV(&buf)
-	if err != nil || len(back) != len(res.Trials) {
-		t.Fatalf("csv: %v, %d", err, len(back))
+	if rows := strings.Count(buf.String(), "\n"); rows != len(res.Trials)+1 {
+		t.Fatalf("csv: %d lines, want %d", rows, len(res.Trials)+1)
 	}
 }
 
@@ -131,28 +107,14 @@ func TestFacadeAnalysis(t *testing.T) {
 	if pf.OldVal != 0.5 || pf.RelErr <= 0 {
 		t.Errorf("posit flip: %+v", pf)
 	}
-	sweep := positres.SweepPositFlips(positres.Std32, b)
-	if len(sweep) != 32 {
-		t.Fatal("posit sweep")
-	}
 	ifl := positres.AnalyzeIEEEFlip(positres.Binary32, positres.Binary32.Encode(0.5), 31)
 	if ifl.NewVal != -0.5 || ifl.RelErr != 2 {
 		t.Errorf("ieee flip: %+v", ifl)
-	}
-	if len(positres.SweepIEEEFlips(positres.Binary16, positres.Binary16.Encode(1))) != 16 {
-		t.Fatal("ieee sweep")
-	}
-	// Binary formats exposed.
-	if positres.BFloat16.Width() != 16 || positres.Binary64.Width() != 64 {
-		t.Error("format geometry")
 	}
 }
 
 func TestFacadeFigures(t *testing.T) {
 	q := positres.Budget{DatasetN: 10000, TrialsPerBit: 10, Seed: 1}
-	if out := positres.Fig3().Render(); !strings.Contains(out, "186.25") {
-		t.Error("Fig3")
-	}
 	if out := positres.Fig7().Render(); !strings.Contains(out, "decimal digits") {
 		t.Error("Fig7")
 	}
@@ -174,27 +136,8 @@ func TestFacadeFigures(t *testing.T) {
 	if tb := positres.SoftErrorTable(q); len(tb.Rows) != 4 {
 		t.Error("SoftErrorTable")
 	}
-	// Budgets exported.
-	if positres.PaperBudget.TrialsPerBit != 313 || positres.QuickBudget.TrialsPerBit <= 0 {
-		t.Error("budgets")
-	}
-}
-
-func TestFacadeFMAAndConvert(t *testing.T) {
-	p := positres.P32FromFloat64(1 + math.Ldexp(1, -20))
-	r := p.Mul(p)
-	res := p.FMA(p, r.Neg())
-	if res.IsZero() {
-		t.Error("facade FMA lost residue")
-	}
-	if p.ToP64().ToP32() != p {
-		t.Error("width conversion")
-	}
-	if positres.P32FromInt64(7).Float64() != 7 || positres.P32FromFloat64(7.6).Int64() != 8 {
-		t.Error("int conversion")
-	}
-	if p.NextUp().NextDown() != p {
-		t.Error("next")
+	if positres.QuickBudget.TrialsPerBit <= 0 {
+		t.Error("QuickBudget")
 	}
 }
 
@@ -211,11 +154,6 @@ func TestFacadeDurableCampaign(t *testing.T) {
 	if verr := cs.Validate(); verr != nil {
 		t.Fatalf("Validate: %s: %s", verr.Code, verr.Message)
 	}
-	specs := positres.ExpandSpecs(cs)
-	if len(specs) != 1 {
-		t.Fatalf("ExpandSpecs = %d specs, want 1", len(specs))
-	}
-
 	rep, err := positres.RunDurable(context.Background(), positres.RunnerConfig{
 		Spec: cs, Dir: t.TempDir(), Workers: 2,
 	})

@@ -2,10 +2,11 @@
 # ci.sh — the full local CI pipeline, invoked by `make ci`.
 #
 # Runs every gate in order and fails fast: formatting, vet, build,
-# positlint (including a self-test that the linter still fires on its
-# fixtures), the positbench smoke (archived as artifacts/BENCH_PR10.json,
-# with an informational trajectory print against the committed
-# baseline), the wire and store fuzz smokes, the bounded-memory
+# the dead-code gate (scripts/deadcode.sh), positlint (including a
+# self-test that the linter still fires on its fixtures), the
+# positbench smoke (archived as artifacts/BENCH_PR10.json, with an
+# informational trajectory print against the committed baseline), the
+# wire and store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
 # store-rendered CSV must hash identically to the direct encoder), the
 # positload chaos smoke, the short test suite, the race-detector pass,
@@ -40,6 +41,9 @@ $GO vet ./...
 
 banner "go build ./..."
 $GO build ./...
+
+banner "deadcode: every declaration under internal/ is linked into a binary or allowed"
+GO=$GO ./scripts/deadcode.sh
 
 banner "positlint ./..."
 $GO run ./cmd/positlint ./...
