@@ -133,8 +133,9 @@ report:
 report-paper:
 	$(GO) run ./cmd/positreport -fig all -budget paper
 
-# Brief fuzz pass over the posit substrate invariants and the binary
-# trial wire decoder (docs/WIRE.md).
+# Brief fuzz pass over the posit substrate invariants, the binary
+# trial wire decoder (docs/WIRE.md) and the .pts store's opener,
+# footer index and pending-store recovery (docs/STORE.md).
 fuzz:
 	$(GO) test -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzDecodersAgree -fuzztime 30s ./internal/posit/
@@ -142,6 +143,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzFooterIndex -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzOpen -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz FuzzRecoverPending -fuzztime 30s ./internal/store/
 
 # Smoke-test the fuzzers (5s each) — quick enough for every PR.
 # -run '^$' skips the package's (heavy, exhaustive) unit tests so each
@@ -153,6 +155,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzFooterIndex -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzRecoverPending -fuzztime 5s ./internal/store/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -484,7 +484,7 @@ func benchCases(budget figures.Budget) []benchCase {
 		// shard. 0 allocs/op is the PR 9 acceptance number.
 		{"campaign_runrange_posit32", benchRunRange("posit32", budget)},
 		// Trial codecs: one shard's trials through the packed binary
-		// frame (docs/WIRE.md) vs the CSV journal encoding.
+		// frame (docs/WIRE.md) vs the CSV encoding.
 		{"wire_encode_shard", benchWireEncode(budget)},
 		{"csv_encode_shard", benchCSVEncode(budget)},
 		{"wire_decode_shard", benchWireDecode(budget)},
@@ -590,7 +590,7 @@ func benchWireEncode(budget figures.Budget) func(*testing.B) {
 }
 
 // benchCSVEncode measures WriteTrialsCSV into a reused buffer — the
-// CSV fallback's encode path (and the journal's).
+// CSV fallback's encode path (and the published logs').
 func benchCSVEncode(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
 		trials := shardTrials(b, budget)

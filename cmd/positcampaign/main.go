@@ -3,10 +3,13 @@
 // at every bit position and logs per-trial error metrics as CSV
 // (paper §4, Fig. 8).
 //
-// With -out the campaign is durable: progress is journaled shard by
-// shard under <out>/journal with a manifest at <out>/manifest.json, so
-// a crashed or interrupted run continues with -resume and produces
-// CSVs byte-identical to an uninterrupted run (docs/RESILIENCE.md).
+// With -out the campaign is durable: every completed shard is appended
+// to its (field, format) columnar store in <out> (pending until the
+// pair completes, then sealed to <out>/<field>_<format>.pts) with a
+// manifest at <out>/manifest.json, so a crashed or interrupted run
+// continues with -resume. Each published CSV is rendered from its
+// sealed store and is byte-identical to an uninterrupted in-memory
+// run (docs/RESILIENCE.md). Trials never accumulate in memory.
 //
 // Usage:
 //
@@ -17,7 +20,7 @@
 //
 // Exit codes: 0 complete; 1 fatal error; 2 usage; 3 partial (one or
 // more shards failed permanently — see manifest.json); 130 interrupted
-// (SIGINT/SIGTERM; progress journaled).
+// (SIGINT/SIGTERM; progress stored).
 package main
 
 import (
@@ -68,13 +71,12 @@ func run() int {
 		n            = flag.Int("n", 2_000_000, "synthetic elements per field")
 		seed         = flag.Uint64("seed", 1, "campaign seed (reproducible)")
 		workers      = flag.Int("workers", 0, "concurrent shards (0 = GOMAXPROCS)")
-		outDir       = flag.String("out", "", "directory for per-(field,format) trial CSVs, journal and manifest")
-		storeOut     = flag.String("store-out", "", "stream trials into columnar .pts stores in this directory (bounded memory; implies no trial slab)")
+		outDir       = flag.String("out", "", "directory for per-(field,format) .pts stores, trial CSVs and the manifest")
 		keepZeros    = flag.Bool("keep-zeros", false, "allow zero-valued elements to be selected")
-		resume       = flag.Bool("resume", false, "continue the campaign journaled in -out")
+		resume       = flag.Bool("resume", false, "continue the campaign stored in -out")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Minute, "per-shard watchdog; a stuck shard is abandoned and retried (0 disables)")
 		maxRetries   = flag.Int("max-retries", 2, "retries per shard after its first attempt")
-		bitsPerShard = flag.Int("bits-per-shard", 8, "bit positions per journaled work unit")
+		bitsPerShard = flag.Int("bits-per-shard", 8, "bit positions per durable work unit")
 		telemetryOut = flag.String("telemetry-out", "", "write a JSON telemetry snapshot (schema "+telemetry.SnapshotSchema+") to this file on exit")
 		pprofAddr    = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060) while the campaign runs")
 		// Deliberate failure injection for the resilience e2e test
@@ -114,11 +116,7 @@ func run() int {
 		return exitUsage
 	}
 	if *resume && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "positcampaign: -resume requires -out (the journal lives there)")
-		return exitUsage
-	}
-	if *storeOut != "" && *dataFlag != "" {
-		fmt.Fprintln(os.Stderr, "positcampaign: -store-out applies to sharded campaigns, not -data runs")
+		fmt.Fprintln(os.Stderr, "positcampaign: -resume requires -out (the stores live there)")
 		return exitUsage
 	}
 	// One canonical campaign description: the same spec.CampaignSpec
@@ -162,7 +160,7 @@ func run() int {
 	}
 
 	// SIGINT/SIGTERM cancel the campaign context; workers drain, the
-	// journal keeps every completed shard, and we exit 130.
+	// stores keep every completed shard, and we exit 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -199,17 +197,9 @@ func run() int {
 		return exitOK
 	}
 
-	// Synthetic data: durable sharded campaign matrix. With -store-out
-	// trials stream shard by shard into columnar .pts stores instead of
-	// accumulating in memory, so campaign size no longer bounds RSS.
-	var cw *store.CampaignWriter
-	if *storeOut != "" {
-		if err := os.MkdirAll(*storeOut, 0o755); err != nil {
-			return fatal(err)
-		}
-		cw = store.NewCampaignWriter(*storeOut)
-		defer cw.Abort() // no-op for stores Seal already committed
-	}
+	// Synthetic data: sharded campaign matrix. With -out, trials live
+	// only in the runner's stores (Discard keeps them out of the
+	// Report), so campaign size no longer bounds RSS.
 	var doneShards int32
 	rcfg := runner.Config{
 		Spec:    cs,
@@ -236,8 +226,8 @@ func run() int {
 			}
 		},
 	}
-	if cw != nil {
-		rcfg.Sink = cw
+	if *outDir != "" {
+		rcfg.Sink = runner.Discard
 	}
 	rep, err := runner.Run(ctx, rcfg)
 	if err != nil {
@@ -245,7 +235,7 @@ func run() int {
 	}
 
 	if rep.Cancelled {
-		// Completed shards are journaled; CSVs are only published by
+		// Completed shards are stored; CSVs are only published by
 		// complete runs so a final-path CSV is always a whole campaign.
 		fmt.Fprintf(os.Stderr, "positcampaign: interrupted after %d/%d shards; resume with -resume\n",
 			rep.Completed+rep.Resumed, len(rep.Shards))
@@ -256,11 +246,11 @@ func run() int {
 		if res == nil {
 			continue
 		}
-		if cw != nil {
-			if err := storeReport(res, cw, *storeOut); err != nil {
+		if *outDir != "" {
+			if err := storeReport(res, *outDir); err != nil {
 				return fatal(err)
 			}
-		} else if err := report(res, res.Elapsed, *outDir); err != nil {
+		} else if err := report(res, res.Elapsed, ""); err != nil {
 			return fatal(err)
 		}
 		published++
@@ -283,35 +273,35 @@ func report(res *core.Result, elapsed time.Duration, outDir string) error {
 	if outDir == "" {
 		return nil
 	}
-	name := fmt.Sprintf("%s_%s.csv", strings.ReplaceAll(res.Field, "/", "_"), res.Codec)
-	path := filepath.Join(outDir, name)
-	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		return core.WriteTrialsCSV(w, res.Trials)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   log: %s\n", path)
-	return nil
+	return publishCSV(outDir, res, func(w io.Writer) error { return core.WriteTrialsCSV(w, res.Trials) })
 }
 
-// storeReport seals one (field, format) store and prints its summary
-// straight from the footer aggregates — no trial slab exists to scan.
-func storeReport(res *core.Result, cw *store.CampaignWriter, storeDir string) error {
-	if err := cw.Seal(res.Field, res.Codec); err != nil {
-		return err
-	}
-	path := filepath.Join(storeDir, store.FileName(res.Field, res.Codec))
-	rd, err := store.Open(path)
+// storeReport prints one (field, format) summary straight from its
+// sealed store's footer aggregates — no trial slab exists to scan —
+// and publishes the CSV rendered from the store, byte-identical to
+// core.WriteTrialsCSV over the same trials.
+func storeReport(res *core.Result, outDir string) error {
+	rd, err := store.Open(filepath.Join(outDir, store.FileName(res.Field, res.Codec)))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("== %s / %s: %d trials in ~%v\n", res.Field, res.Codec, rd.Rows(), res.Elapsed.Round(time.Millisecond))
 	printSummary(rd.BitAggs())
-	if err := rd.Close(); err != nil {
+	err = publishCSV(outDir, res, rd.RenderCSV)
+	if cerr := rd.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// publishCSV atomically writes one result's CSV under outDir.
+func publishCSV(outDir string, res *core.Result, write func(io.Writer) error) error {
+	name := fmt.Sprintf("%s_%s.csv", strings.ReplaceAll(res.Field, "/", "_"), res.Codec)
+	path := filepath.Join(outDir, name)
+	if err := atomicio.WriteFile(path, write); err != nil {
 		return err
 	}
-	fmt.Printf("   store: %s\n", path)
+	fmt.Printf("   log: %s\n", path)
 	return nil
 }
 

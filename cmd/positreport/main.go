@@ -150,6 +150,12 @@ func offline(dir string) error {
 		return fmt.Errorf("no campaign artifacts (.csv, .pts, .json) in %s", dir)
 	}
 	sort.Strings(paths)
+	csvs := map[string]bool{}
+	for _, path := range paths {
+		if filepath.Ext(path) == ".csv" {
+			csvs[strings.TrimSuffix(path, ".csv")] = true
+		}
+	}
 	var series []textplot.Series
 	var aggRows []figures.AggSummaryRow
 	fieldSummary := &textplot.Table{Header: []string{
@@ -158,7 +164,10 @@ func offline(dir string) error {
 	haveFieldRows := false
 	for _, path := range paths {
 		switch filepath.Ext(path) {
-		case ".pts":
+		case store.Ext:
+			if csvs[strings.TrimSuffix(path, store.Ext)] {
+				continue // its published CSV renders the same trials (positcampaign -out writes both)
+			}
 			rd, err := store.Open(path)
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)

@@ -1,7 +1,7 @@
 // Command positserve exposes the fault-injection engine as an HTTP
 // service: synchronous single-bit what-if queries on /v1/inject,
 // durable campaign jobs on /v1/campaigns (bounded queue, resumable
-// across restarts from the shard journal under -data-dir), and
+// across restarts from the shard stores under -data-dir), and
 // positres-telemetry/v1 snapshots plus per-endpoint counters on
 // /metrics. docs/SERVICE.md is the API reference.
 //
@@ -16,7 +16,7 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: the listener stops,
 // running campaigns are cancelled through the runner (completed
-// shards stay journaled, manifests record "cancelled"), and the
+// shards stay stored, manifests record "cancelled"), and the
 // process exits 0; the next start on the same -data-dir resumes
 // unfinished jobs automatically.
 //
@@ -53,7 +53,7 @@ func run() int {
 	fs := flag.NewFlagSet("positserve", flag.ContinueOnError)
 	var (
 		addr            = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		dataDir         = fs.String("data-dir", "", "state root for jobs and journals (required)")
+		dataDir         = fs.String("data-dir", "", "state root for jobs and their stores (required)")
 		queueDepth      = fs.Int("queue-depth", 64, "max campaigns queued but not yet running (beyond it: 429)")
 		jobWorkers      = fs.Int("job-workers", 1, "campaigns run concurrently")
 		campaignWorkers = fs.Int("campaign-workers", 0, "shard workers per campaign (0 = GOMAXPROCS)")
@@ -161,7 +161,7 @@ func run() int {
 		return exitFatal
 	}
 	// Listener is down; wait for running campaigns to cancel and
-	// journal before exiting 0.
+	// record their state before exiting 0.
 	srv.Wait()
 	fmt.Println("positserve: drained, exiting")
 	return exitOK

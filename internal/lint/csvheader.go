@@ -34,7 +34,7 @@ import (
 //     field (the compiler already enforces arity there);
 //   - two registries anywhere in the repo mirror the same struct but
 //     disagree elementwise (core.trialHeader vs wire.trialWireHeader)
-//     — the CSV journal and the binary wire would then order or name
+//     — the CSV trial log and the binary wire would then order or name
 //     columns differently, which no per-registry check can see.
 //
 // Functions that reference the struct without the header (business

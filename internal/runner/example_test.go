@@ -14,7 +14,7 @@ import (
 )
 
 // ExampleRun submits a tiny durable campaign job: one canonical
-// CampaignSpec expanded to a single (field, codec) pair, journaled
+// CampaignSpec expanded to a single (field, codec) pair, stored
 // under a state directory so an interrupted run could be resumed with
 // Config.Resume. The output is deterministic because every trial
 // draws from a PRNG stream keyed by (seed, field, codec, bit, trial).
@@ -34,7 +34,7 @@ func ExampleRun() {
 			Seed:         1,
 			TrialsPerBit: 2,
 		},
-		Dir:     dir, // journal + manifest live here; "" would disable durability
+		Dir:     dir, // stores + manifest live here; "" would disable durability
 		Workers: 2,
 	}
 

@@ -15,7 +15,7 @@ const (
 	// StateRunning is written when a campaign starts; a manifest still
 	// in this state on load means the previous process died mid-run.
 	StateRunning = "running"
-	// StateComplete: every shard journaled successfully.
+	// StateComplete: every shard durable and every store sealed.
 	StateComplete = "complete"
 	// StatePartial: the campaign finished but one or more shards
 	// exhausted their retry budget (graceful degradation).
@@ -27,9 +27,9 @@ const (
 
 // Shard states recorded in ShardStatus.
 const (
-	// ShardDone: computed and journaled this run.
+	// ShardDone: computed and appended to its store this run.
 	ShardDone = "done"
-	// ShardResumed: loaded from a verified journal record of a
+	// ShardResumed: recovered from a verified store block of a
 	// previous run; not recomputed.
 	ShardResumed = "resumed"
 	// ShardFailed: exhausted its retry budget.
@@ -62,7 +62,7 @@ func (s ShardStatus) Duration() time.Duration { return time.Duration(s.DurationN
 
 // Manifest is the campaign's durable self-description, written
 // atomically at start (StateRunning) and at completion. Progress truth
-// lives in the journal records; the manifest carries identity (the
+// lives in the stores' blocks; the manifest carries identity (the
 // campaign parameters a resume must match), the shard plan, and the
 // final outcome for operators and tooling.
 type Manifest struct {
@@ -80,7 +80,7 @@ type Manifest struct {
 	// Campaign is the identity a resume must match exactly (seed,
 	// trials per bit, zero handling, selection bound).
 	Campaign campaignParams `json:"campaign"`
-	// BitsPerShard is the sharding granularity the journal was cut at;
+	// BitsPerShard is the sharding granularity the stores were cut at;
 	// part of the resume identity.
 	BitsPerShard int `json:"bits_per_shard"`
 	// Specs is the ordered campaign matrix.
@@ -134,17 +134,17 @@ func writeManifest(path string, m *Manifest) error {
 // parameters would silently mix incompatible trial streams.
 func (m *Manifest) compatible(params campaignParams, bitsPerShard int, specs []Spec) error {
 	if m.Campaign != params {
-		return fmt.Errorf("runner: journal belongs to a different campaign: params %+v, want %+v", m.Campaign, params)
+		return fmt.Errorf("runner: state directory belongs to a different campaign: params %+v, want %+v", m.Campaign, params)
 	}
 	if m.BitsPerShard != bitsPerShard {
-		return fmt.Errorf("runner: journal was sharded at %d bits/shard, want %d", m.BitsPerShard, bitsPerShard)
+		return fmt.Errorf("runner: state directory was sharded at %d bits/shard, want %d", m.BitsPerShard, bitsPerShard)
 	}
 	if len(m.Specs) != len(specs) {
-		return fmt.Errorf("runner: journal covers %d specs, want %d", len(m.Specs), len(specs))
+		return fmt.Errorf("runner: state directory covers %d specs, want %d", len(m.Specs), len(specs))
 	}
 	for i := range specs {
 		if m.Specs[i] != specs[i] {
-			return fmt.Errorf("runner: journal spec %d is %+v, want %+v", i, m.Specs[i], specs[i])
+			return fmt.Errorf("runner: state directory spec %d is %+v, want %+v", i, m.Specs[i], specs[i])
 		}
 	}
 	return nil

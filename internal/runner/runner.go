@@ -1,19 +1,21 @@
 // Package runner is the durable campaign orchestration layer: it
 // expands the canonical spec.CampaignSpec into a (field, codec)
-// matrix, shards it into bit-range work units, journals every
-// completed shard to disk with CRC-guarded atomic record writes, and
-// replays only the missing shards after a crash, SIGINT or node
-// preemption. Because internal/core draws every random choice from a
-// PRNG stream keyed by (seed, field, codec, bit, trial), a resumed
-// campaign is bit-identical to an uninterrupted one — the on-disk
-// counterpart of the checkpoint/restart protection scheme the paper
-// cites (refs [37], [23]), applied to the experiment harness itself.
+// matrix, shards it into bit-range work units, appends every completed
+// shard to its pair's columnar store as one fsynced, CRC-guarded block
+// (internal/store), and after a crash, SIGINT or node preemption
+// keeps the verified blocks and runs only the missing shards. Because
+// internal/core draws every random choice from a PRNG stream keyed by
+// (seed, field, codec, bit, trial), a resumed campaign is
+// bit-identical to an uninterrupted one — the on-disk counterpart of
+// the checkpoint/restart protection scheme the paper cites (refs
+// [37], [23]), applied to the experiment harness itself.
 //
 // Robustness properties, each pinned by a test in runner_test.go:
 //
 //   - cancellation: ctx cancellation (e.g. from signal.NotifyContext)
-//     drains the shard pool; completed shards stay journaled, in-flight
-//     shards are discarded, and the manifest records "cancelled";
+//     drains the shard pool; completed shards stay in the pending
+//     stores, in-flight shards are discarded, and the manifest records
+//     "cancelled";
 //   - watchdog: a per-shard timeout abandons a stuck attempt and
 //     retries it;
 //   - bounded retry: transient shard failures back off exponentially
@@ -43,6 +45,7 @@ import (
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
 	"positres/internal/stats"
+	"positres/internal/store"
 	"positres/internal/telemetry"
 )
 
@@ -55,12 +58,15 @@ type Config struct {
 	// validates it (applying the documented defaults in place) and
 	// expands its Fields × Formats cross product via SpecsOf.
 	Spec *spec.CampaignSpec
-	// Dir is the state directory holding manifest.json and journal/.
-	// Empty disables durability (no journal, no resume) while keeping
-	// cancellation, watchdog and retry semantics.
+	// Dir is the state directory holding manifest.json and one store
+	// per (field, codec) pair: store.FileName(field, codec) plus
+	// ".pending" while the pair runs, sealed to the bare name once
+	// every shard of the pair is durable. Empty disables durability
+	// (no store, no resume) while keeping cancellation, watchdog and
+	// retry semantics.
 	Dir string
 	// Resume continues a campaign found in Dir instead of refusing to
-	// touch it. Verified journal records are loaded and only missing
+	// touch it. Each store keeps its verified blocks and only missing
 	// shards run. Resuming an empty Dir is a fresh start.
 	Resume bool
 	// Workers bounds concurrent shards; 0 means GOMAXPROCS.
@@ -70,7 +76,7 @@ type Config struct {
 	RetryBaseDelay time.Duration
 	// Execute, when non-nil, replaces the local shard computation:
 	// each attempt calls it instead of core.RunRange, under the same
-	// watchdog, retry and journaling machinery. positserve's
+	// watchdog, retry and durability machinery. positserve's
 	// coordinator uses it to dispatch shards to remote workers; the
 	// trials it returns must be bit-identical to a local computation
 	// (the PRNG keying makes that hold for any faithful executor).
@@ -87,15 +93,15 @@ type Config struct {
 	// It is called serially.
 	OnShardDone func(st ShardStatus)
 	// Sink, when non-nil, receives every completed shard's trials —
-	// fresh and journal-resumed alike — as the campaign runs, and the
-	// Report's Results carry Trials == nil (identity, N, Baseline and
-	// Elapsed stay populated). This is how campaign-scale runs stay in
-	// bounded memory: trials stream into an append-only store instead
-	// of accumulating per-spec slabs. Appends happen serially, after
-	// the shard is journaled (the journal stays the durability source,
-	// so a sink failure costs the shard, not the campaign — the shard
-	// is reported failed and a Resume run can replay it). A
-	// store.CampaignWriter satisfies this interface.
+	// fresh and resumed alike — as the campaign runs, and the Report's
+	// Results carry Trials == nil (identity, N, Baseline and Elapsed
+	// stay populated). This is how campaign-scale runs stay in bounded
+	// memory: with Dir set and Sink: Discard the trials live only in
+	// the stores. Appends happen serially, after the shard is durable
+	// in Dir's store, so a sink failure costs the shard, not the
+	// campaign — the shard is reported failed and a Resume run
+	// delivers it again. A store.CampaignWriter satisfies this
+	// interface.
 	Sink ShardSink
 	// Metrics, when non-nil, receives shard lifecycle counts, the
 	// shard latency histogram, retry/backoff tallies and worker busy
@@ -153,11 +159,22 @@ func (cfg *Config) sleep(ctx context.Context, d time.Duration) error {
 // AppendShard is called serially, once per completed shard, with the
 // shard's half-open bit range; every trial carries the (field, codec)
 // identity and a bit within [bitLo, bitHi). An error fails that shard
-// (not the campaign) — the journal remains authoritative, so the
-// shard is replayable by a Resume run.
+// (not the campaign); with Config.Dir set the shard is already in its
+// store, so a Resume run delivers it again.
 type ShardSink interface {
 	AppendShard(field, codec string, bitLo, bitHi int, trials []core.Trial) error
 }
+
+// Discard is a ShardSink that accepts and drops every shard. A
+// campaign run with Config.Dir set and Sink: Discard keeps its trials
+// only in the stores under Dir, so Report.Results carry no slabs and
+// memory stays bounded by the shards in flight — how positserve and
+// positcampaign -out run.
+var Discard ShardSink = discard{}
+
+type discard struct{}
+
+func (discard) AppendShard(string, string, int, int, []core.Trial) error { return nil }
 
 // SpecsOf expands a validated campaign spec into its (field, codec)
 // matrix: the Fields × Formats cross product in declaration order,
@@ -183,7 +200,7 @@ type Report struct {
 	// Specs is the expanded (field, codec) matrix, SpecsOf(cfg.Spec).
 	Specs []Spec
 	// Results is index-aligned with Specs. A spec whose shards all
-	// completed (freshly or from the journal) gets an assembled
+	// completed (freshly or from its store) gets an assembled
 	// *core.Result with trials in bit order; a spec with failed or
 	// skipped shards gets nil. When Config.Sink is set the trials
 	// streamed out as the campaign ran, so Result.Trials is nil and
@@ -192,18 +209,18 @@ type Report struct {
 	// Shards lists every shard outcome in deterministic (spec, bit)
 	// order.
 	Shards []ShardStatus
-	// Completed counts shards computed and journaled this run.
+	// Completed counts shards computed and made durable this run.
 	Completed int
-	// Resumed counts shards loaded from a prior run's journal.
+	// Resumed counts shards recovered from a prior run's stores.
 	Resumed int
 	// Failed counts shards that exhausted their retry budget.
 	Failed int
 	// Skipped counts shards that never ran (campaign cancelled first).
 	Skipped int
 	// Cancelled reports that the run was interrupted; completed work
-	// is journaled and a later Resume run picks up the remainder.
+	// is durable and a later Resume run picks up the remainder.
 	Cancelled bool
-	// Elapsed is this run's wall-clock time (journal loads included).
+	// Elapsed is this run's wall-clock time (store recovery included).
 	Elapsed time.Duration
 }
 
@@ -213,12 +230,38 @@ func (r *Report) Complete() bool { return !r.Cancelled && r.Failed == 0 && r.Ski
 // Partial reports a finished campaign with failed shards.
 func (r *Report) Partial() bool { return !r.Cancelled && r.Failed > 0 }
 
-// Run executes the campaign described by cfg.Spec durably. Fatal
-// setup problems (invalid spec, incompatible journal, unwritable
-// state directory) return an error; shard-level failures and
-// cancellation are reported in the Report instead, so one bad shard
-// cannot take down the campaign.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
+// Campaign is a durable campaign opened by Open: the validated shard
+// plan, the state directory and, when Config.Dir is set, one store per
+// (field, codec) pair with the verified shards of any previous run
+// already recovered. Run executes the shards still missing; Snapshot
+// may be called concurrently with it.
+type Campaign struct {
+	cfg    Config // defaults applied
+	start  time.Time
+	specs  []Spec
+	codecs []numfmt.Codec
+	fields []sdrbench.Field
+	shards []Shard
+	slots  []slot // index-aligned with shards
+	st     *state
+}
+
+// slot is one shard's progress.
+type slot struct {
+	status ShardStatus
+	trials []core.Trial
+	sunk   bool // trials delivered to cfg.Sink; the slab is released
+}
+
+// Open validates cfg, checks the state directory against it, and opens
+// the campaign's stores. On a resume every store keeps its verified
+// blocks (store.Resume): their shards are marked ShardResumed, their
+// trials go to the Sink or, with no Sink, into the Report's Results,
+// and they are not recomputed. Fatal setup problems (invalid spec,
+// incompatible state directory, unwritable or unreadable stores)
+// return an error. The caller must then call Run exactly once; it
+// releases the stores.
+func Open(cfg Config) (*Campaign, error) {
 	start := time.Now()
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("runner: Config.Spec is required")
@@ -226,21 +269,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if verr := cfg.Spec.Validate(); verr != nil {
 		return nil, fmt.Errorf("runner: invalid campaign spec: %w", verr)
 	}
-	c := cfg.withDefaults()
-	specs := SpecsOf(c.Spec)
-	if len(specs) == 0 {
+	c := &Campaign{cfg: cfg.withDefaults(), start: start}
+	c.specs = SpecsOf(c.cfg.Spec)
+	if len(c.specs) == 0 {
 		return nil, fmt.Errorf("runner: campaign spec expands to no (field, format) pairs")
 	}
 
 	// Resolve every spec against the registries up front: a typo must
 	// fail before any state is touched.
-	codecs := make([]numfmt.Codec, len(specs))
-	fields := make([]sdrbench.Field, len(specs))
-	var shards []Shard
-	// Shard IDs (journal filenames) are keyed on Field+Codec, so two
-	// specs sharing that pair would collide in the journal.
+	c.codecs = make([]numfmt.Codec, len(c.specs))
+	c.fields = make([]sdrbench.Field, len(c.specs))
+	// Store files are keyed on Field+Codec, so two specs sharing that
+	// pair would collide in the state directory.
 	seen := map[string]bool{}
-	for i, sp := range specs {
+	for i, sp := range c.specs {
 		f, err := sdrbench.Lookup(sp.Field)
 		if err != nil {
 			return nil, fmt.Errorf("runner: spec %d: %w", i, err)
@@ -256,62 +298,97 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("runner: duplicate spec %s", sp.Key())
 		}
 		seen[sp.Key()] = true
-		fields[i], codecs[i] = f, cd
-		shards = append(shards, shardsFor(sp, cd.Width(), c.bitsPerShard)...)
+		c.fields[i], c.codecs[i] = f, cd
+		c.shards = append(c.shards, shardsFor(sp, cd.Width(), c.cfg.bitsPerShard)...)
 	}
-	params := paramsOf(c.campaign)
+	c.slots = make([]slot, len(c.shards))
+	index := make(map[Shard]int, len(c.shards))
+	for i, sh := range c.shards {
+		c.slots[i].status = ShardStatus{Shard: sh, State: ShardSkipped}
+		index[sh] = i
+	}
 
-	st, err := openState(&c, params, specs)
+	var err error
+	c.st, err = openState(&c.cfg, paramsOf(c.cfg.campaign), c.specs)
 	if err != nil {
 		return nil, err
 	}
-
-	// Load verified journal records for the shards we expect.
-	type slot struct {
-		status ShardStatus
-		trials []core.Trial
-		sunk   bool // trials delivered to cfg.Sink; the slab is released
-	}
-	slots := make([]slot, len(shards))
-	for i, sh := range shards {
-		slots[i].status = ShardStatus{Shard: sh, State: ShardSkipped}
-		if meta, trials, ok := st.load(sh, params); ok {
-			slots[i].status.State = ShardResumed
-			slots[i].status.Attempts = meta.Attempts
-			slots[i].status.DurationNS = meta.DurationNS
-			if c.Sink != nil {
-				// Journal-resumed shards flow through the sink too, so a
-				// resumed campaign's store is as complete as a fresh one.
-				if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); serr != nil {
-					slots[i].status.State = ShardFailed
-					slots[i].status.Error = fmt.Sprintf("sink: %v", serr)
-				} else {
-					slots[i].sunk = true
-				}
-			} else {
-				slots[i].trials = trials
-			}
-			// Attempts = 1: the retries happened in the previous run
-			// and were counted by that run's metrics.
-			c.Metrics.ObserveShard(slots[i].status.State, 0, 1)
+	// keep accepts a recovered block only if it is exactly one planned
+	// shard with the planned row count; the store itself rejects
+	// duplicates.
+	keep := func(sp Spec, bitLo, bitHi int, trials []core.Trial) bool {
+		i, ok := index[Shard{Spec: sp, BitLo: bitLo, BitHi: bitHi}]
+		if !ok || len(trials) != (bitHi-bitLo)*c.cfg.campaign.TrialsPerBit {
+			return false
 		}
+		c.resumed(i, trials)
+		return true
 	}
+	if err := c.st.openStores(c.specs, keep); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// resumed records a shard recovered from its store: not recomputed,
+// so it reports zero attempts and duration.
+func (c *Campaign) resumed(i int, trials []core.Trial) {
+	s := &c.slots[i]
+	sh := c.shards[i]
+	s.status.State = ShardResumed
+	if c.cfg.Sink == nil {
+		s.trials = trials
+	} else if err := c.cfg.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); err != nil {
+		s.status.State = ShardFailed
+		s.status.Error = fmt.Sprintf("sink: %v", err)
+	} else {
+		s.sunk = true
+	}
+	// Attempts = 1: the retries happened in the previous run and were
+	// counted by that run's metrics.
+	c.cfg.Metrics.ObserveShard(s.status.State, 0, 1)
+}
+
+// Snapshot returns one live aggregate document per store, in spec
+// order — the mid-campaign view positserve's /metrics serves. It is
+// O(specs×bits) and touches no trial; nil when Config.Dir is empty.
+func (c *Campaign) Snapshot() []*store.AggregateDoc { return c.st.snapshot() }
+
+// Run executes the campaign described by cfg.Spec durably: Open
+// followed by Campaign.Run.
+func Run(ctx context.Context, cfg Config) (*Report, error) {
+	c, err := Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx)
+}
+
+// Run computes every shard Open did not recover. Each completed shard
+// is appended to its pair's store — one fsynced block — before it is
+// reported done. Shard-level failures and cancellation are reported
+// in the Report, so one bad shard cannot take down the campaign; an
+// error return means the state directory itself failed. On return
+// the stores of complete specs are sealed (unless the run was
+// cancelled) and the rest stay pending for a Resume run.
+func (c *Campaign) Run(ctx context.Context) (*Report, error) {
+	defer c.st.closeStores() // after finish sealed what it could
+	cfg, specs, shards, slots := &c.cfg, c.specs, c.shards, c.slots
 	statuses := make([]ShardStatus, len(slots))
 	for i := range slots {
 		statuses[i] = slots[i].status
 	}
-	if err := st.begin(statuses); err != nil {
+	if err := c.st.begin(statuses); err != nil {
 		return nil, err
 	}
 
 	// Shard worker pool. Slots are written by index (disjoint); the
-	// mutex serializes journaling bookkeeping and the OnShardDone
-	// callback only.
-	cache := newDataCache(fields, specs)
+	// mutex serializes sink delivery and the OnShardDone callback only.
+	cache := newDataCache(c.fields, specs)
 	var mu sync.Mutex
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -321,32 +398,33 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				busyStart := time.Now()
 				sh := shards[i]
+				si := specIndex(specs, sh.Spec)
 				data, err := cache.get(sh.Spec)
 				if err != nil {
 					slots[i].status.State = ShardFailed
 					slots[i].status.Error = err.Error()
 				} else {
-					trials, status := runShard(ctx, &c, codecs[specIndex(specs, sh.Spec)], sh, data)
-					if status.State == ShardDone && st.enabled() {
-						if jerr := st.journal(status, params, trials); jerr != nil {
+					trials, status := runShard(ctx, cfg, c.codecs[si], sh, data)
+					if status.State == ShardDone {
+						if aerr := c.st.append(si, sh, trials); aerr != nil {
 							// A shard whose durability write failed is a
 							// failed shard: reporting it done would let a
 							// resume silently lose it.
 							status.State = ShardFailed
-							status.Error = jerr.Error()
+							status.Error = aerr.Error()
 							trials = nil
 						}
 					}
 					slots[i].status = status
 					slots[i].trials = trials
 				}
-				c.Metrics.AddWorkerBusy(time.Since(busyStart))
+				cfg.Metrics.AddWorkerBusy(time.Since(busyStart))
 				mu.Lock()
-				if c.Sink != nil && slots[i].status.State == ShardDone {
-					// Journal first (above), sink second: durability is
-					// already settled, so a sink failure only fails this
-					// shard and a Resume run replays it into a new store.
-					if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, slots[i].trials); serr != nil {
+				if cfg.Sink != nil && slots[i].status.State == ShardDone {
+					// The store already holds the shard, so a sink
+					// failure only fails it here and a Resume run
+					// delivers it again.
+					if serr := cfg.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, slots[i].trials); serr != nil {
 						slots[i].status.State = ShardFailed
 						slots[i].status.Error = fmt.Sprintf("sink: %v", serr)
 					} else {
@@ -354,10 +432,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					}
 					slots[i].trials = nil // the slab is the sink's problem now
 				}
-				c.Metrics.ObserveShard(slots[i].status.State,
+				cfg.Metrics.ObserveShard(slots[i].status.State,
 					slots[i].status.Duration(), slots[i].status.Attempts)
-				if c.OnShardDone != nil {
-					c.OnShardDone(slots[i].status)
+				if cfg.OnShardDone != nil {
+					cfg.OnShardDone(slots[i].status)
 				}
 				mu.Unlock()
 			}
@@ -366,7 +444,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 feed:
 	for i := range shards {
 		if slots[i].status.State == ShardResumed {
-			continue // already satisfied by the journal
+			continue // already durable in the store
 		}
 		select {
 		case idx <- i:
@@ -381,7 +459,7 @@ feed:
 		Specs:     specs,
 		Results:   make([]*core.Result, len(specs)),
 		Cancelled: ctx.Err() != nil,
-		Elapsed:   time.Since(start),
+		Elapsed:   time.Since(c.start),
 	}
 	for _, s := range slots {
 		rep.Shards = append(rep.Shards, s.status)
@@ -418,7 +496,7 @@ feed:
 		}
 		sort.Slice(parts, func(a, b int) bool { return parts[a].status.BitLo < parts[b].status.BitLo })
 		var trials []core.Trial
-		if c.Sink == nil {
+		if cfg.Sink == nil {
 			total := 0
 			for _, p := range parts {
 				total += len(p.trials)
@@ -427,7 +505,7 @@ feed:
 		}
 		var elapsed time.Duration
 		for _, p := range parts {
-			if c.Sink == nil {
+			if cfg.Sink == nil {
 				trials = append(trials, p.trials...)
 			}
 			elapsed += p.status.Duration()
@@ -446,7 +524,7 @@ feed:
 		}
 	}
 
-	if err := st.finish(rep); err != nil {
+	if err := c.st.finish(rep); err != nil {
 		return nil, err
 	}
 	return rep, nil

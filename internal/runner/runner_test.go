@@ -15,6 +15,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
+	"positres/internal/store"
 	"positres/internal/telemetry"
 )
 
@@ -75,7 +76,7 @@ func renderCSV(t *testing.T, res *core.Result) []byte {
 }
 
 // TestSpecsOf pins the expansion order (Fields-major) and the codec
-// name canonicalization — shard plans and journal filenames depend on
+// name canonicalization — shard plans and store filenames depend on
 // both.
 func TestSpecsOf(t *testing.T) {
 	cs := testSpec()
@@ -112,7 +113,7 @@ func TestResumeEquivalence(t *testing.T) {
 		t.Fatalf("reference run not complete: %+v", ref)
 	}
 
-	// Interrupted run: cancel the campaign after two shards journal.
+	// Interrupted run: cancel the campaign after two shards complete.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -140,9 +141,13 @@ func TestResumeEquivalence(t *testing.T) {
 	if m.State != StateCancelled {
 		t.Fatalf("manifest state %q, want %q", m.State, StateCancelled)
 	}
-	recs, err := filepath.Glob(filepath.Join(dir, "journal", "*.rec"))
-	if err != nil || len(recs) != rep1.Completed {
-		t.Fatalf("journal holds %d records (err %v), want %d", len(recs), err, rep1.Completed)
+	// Every spec's completed shards sit in a pending store; nothing is
+	// sealed at a final path after a cancelled run.
+	if pending := storeFiles(t, dir, store.Ext+".pending"); len(pending) != len(rep1.Specs) {
+		t.Fatalf("%d pending stores after the interrupt, want %d", len(pending), len(rep1.Specs))
+	}
+	if sealed := storeFiles(t, dir, store.Ext); len(sealed) != 0 {
+		t.Fatalf("sealed stores visible after a cancelled run: %v", sealed)
 	}
 
 	// Resume: only the missing shards run; final CSVs are identical.
@@ -160,6 +165,13 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 	if rep2.Completed != testShardTotal-rep1.Completed {
 		t.Fatalf("recomputed %d shards, want %d", rep2.Completed, testShardTotal-rep1.Completed)
+	}
+	// Resumed shards were not executed by this run, so they report no
+	// attempts and no compute time (the ShardStatus contract).
+	for _, st := range rep2.Shards {
+		if st.State == ShardResumed && (st.Attempts != 0 || st.DurationNS != 0) {
+			t.Fatalf("resumed shard %s reports attempts=%d duration_ns=%d, want 0/0", st.ID(), st.Attempts, st.DurationNS)
+		}
 	}
 	for i := range rep2.Specs {
 		got, want := renderCSV(t, rep2.Results[i]), renderCSV(t, ref.Results[i])
@@ -217,10 +229,22 @@ func TestResumeParamMismatch(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordRecomputed: a journal record that fails CRC (here: a
-// flipped payload byte) is treated as absent, and only that shard is
-// recomputed — with output still identical to a clean run.
-func TestCorruptRecordRecomputed(t *testing.T) {
+// storeFiles lists the files in dir whose names end in suffix.
+func storeFiles(t *testing.T, dir, suffix string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+suffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestCorruptBlockRecomputed: a store block that fails its CRC (here:
+// a flipped payload byte in the first block of one store) is dropped
+// on resume together with every block after it in that store, and
+// exactly those shards are recomputed — with output still identical
+// to a clean run.
+func TestCorruptBlockRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	ref, err := Run(context.Background(), testCfg(dir))
 	if err != nil {
@@ -231,16 +255,18 @@ func TestCorruptRecordRecomputed(t *testing.T) {
 		refCSVs[i] = renderCSV(t, ref.Results[i])
 	}
 
-	recs, err := filepath.Glob(filepath.Join(dir, "journal", "*.rec"))
-	if err != nil || len(recs) != testShardTotal {
-		t.Fatalf("journal holds %d records (err %v)", len(recs), err)
-	}
-	raw, err := os.ReadFile(recs[3])
+	// Spec 0 is CESM/CLOUD posit16: 4 shards. Its first block starts
+	// right after the header (magic, version, two length-prefixed
+	// names); flip a byte well inside it.
+	sp := ref.Specs[0]
+	path := filepath.Join(dir, store.FileName(sp.Field, sp.Codec))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(recs[3], raw, 0o644); err != nil {
+	header := 4 + 1 + 1 + len(sp.Field) + 1 + len(sp.Codec)
+	raw[header+40] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,13 +276,92 @@ func TestCorruptRecordRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Complete() || rep.Completed != 1 || rep.Resumed != testShardTotal-1 {
-		t.Fatalf("corrupt-record resume profile: %+v", rep)
+	const specShards = 16 / 4
+	if !rep.Complete() || rep.Completed != specShards || rep.Resumed != testShardTotal-specShards {
+		t.Fatalf("corrupt-block resume profile: %+v", rep)
+	}
+	for _, st := range rep.Shards {
+		if (st.State == ShardDone) != (st.Spec == sp) {
+			t.Fatalf("shard %s is %s; only %s should recompute", st.ID(), st.State, sp.Key())
+		}
 	}
 	for i := range rep.Specs {
 		if !bytes.Equal(renderCSV(t, rep.Results[i]), refCSVs[i]) {
-			t.Fatalf("spec %s: CSV differs after corrupt-record recovery", rep.Specs[i].Key())
+			t.Fatalf("spec %s: CSV differs after corrupt-block recovery", rep.Specs[i].Key())
 		}
+	}
+}
+
+// TestSealedBeforeManifestResumed covers a crash between sealing the
+// stores and writing the final manifest: the manifest still says
+// running, every store is sealed and no pending file exists. A resume
+// must recompute nothing, serve the recovered aggregates before it
+// runs, and re-seal byte-identical stores.
+func TestSealedBeforeManifestResumed(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := Run(context.Background(), testCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := map[string][]byte{}
+	for _, p := range storeFiles(t, dir, store.Ext) {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed[p] = raw
+	}
+	if len(sealed) != len(ref.Specs) {
+		t.Fatalf("%d sealed stores, want %d", len(sealed), len(ref.Specs))
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	m, err := loadManifest(manPath)
+	if err != nil || m == nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	m.State = StateRunning
+	if err := writeManifest(manPath, m); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testCfg(dir)
+	cfg.Resume = true
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := c.Snapshot()
+	if len(docs) != len(ref.Specs) {
+		t.Fatalf("%d live docs, want %d", len(docs), len(ref.Specs))
+	}
+	for i, doc := range docs {
+		if want := uint64(len(ref.Results[i].Trials)); doc.Trials != want || doc.Sealed {
+			t.Fatalf("%s: live doc trials=%d sealed=%v, want %d unsealed", ref.Specs[i].Key(), doc.Trials, doc.Sealed, want)
+		}
+	}
+	rep, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete() || rep.Completed != 0 || rep.Resumed != testShardTotal {
+		t.Fatalf("sealed-store resume profile: %+v", rep)
+	}
+	for i := range rep.Specs {
+		if !bytes.Equal(renderCSV(t, rep.Results[i]), renderCSV(t, ref.Results[i])) {
+			t.Fatalf("spec %s: CSV differs after sealed-store resume", rep.Specs[i].Key())
+		}
+	}
+	for p, want := range sealed {
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-sealed store differs from the original", filepath.Base(p))
+		}
+	}
+	if m, err := loadManifest(manPath); err != nil || m == nil || m.State != StateComplete {
+		t.Fatalf("final manifest: %+v (err %v)", m, err)
 	}
 }
 
@@ -392,7 +497,7 @@ func TestRetryExhaustedPartial(t *testing.T) {
 		t.Fatalf("manifest state: %+v (err %v)", m, err)
 	}
 
-	// The failed shard is not journaled, so a later resume (faults
+	// The failed shard is not in the store, so a later resume (faults
 	// cleared) finishes the campaign and heals the manifest.
 	cfg2 := testCfg(dir)
 	cfg2.Resume = true
@@ -525,8 +630,8 @@ func TestRunnerTelemetry(t *testing.T) {
 		t.Error("WorkerBusyNS not accumulated")
 	}
 
-	// Resume the finished campaign: every shard loads from the
-	// journal, so the new metric set must count only resumed shards.
+	// Resume the finished campaign: every shard is recovered from its
+	// store, so the new metric set must count only resumed shards.
 	cfg2 := testCfg(dir)
 	cfg2.Resume = true
 	cfg2.Metrics = telemetry.New()
@@ -567,53 +672,6 @@ func TestBackoffSchedule(t *testing.T) {
 	if got := Backoff(base, 30); got != 30*time.Second {
 		t.Errorf("Backoff cap = %v, want 30s", got)
 	}
-}
-
-// TestRecordRoundTrip: journal records survive write/read with exact
-// meta and trial content, and reject truncation.
-func TestRecordRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	trials, err := core.RunRange(context.Background(), core.DefaultConfig(), mustCodecT(t, "posit16"), "CESM/CLOUD", []float64{1.5, -2.25, 3.75}, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := recordMeta{
-		Shard:      Shard{Spec: Spec{Field: "CESM/CLOUD", Codec: "posit16", N: 3, Seed: 7}, BitLo: 0, BitHi: 4},
-		Campaign:   paramsOf(core.DefaultConfig()),
-		Trials:     len(trials),
-		DurationNS: 12345,
-		Attempts:   2,
-	}
-	if err := writeRecord(dir, meta, trials); err != nil {
-		t.Fatal(err)
-	}
-	path := recordPath(dir, meta.Shard)
-	got, gotTrials, err := readRecord(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != meta || len(gotTrials) != len(trials) {
-		t.Fatalf("round trip: meta %+v, %d trials", got, len(gotTrials))
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readRecord(path); err == nil {
-		t.Fatal("truncated record must not verify")
-	}
-}
-
-func mustCodecT(t *testing.T, name string) numfmt.Codec {
-	t.Helper()
-	c, err := numfmt.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // TestJitteredBackoff: the jittered schedule is deterministic for a

@@ -9,7 +9,7 @@ import (
 
 // Spec is one (field, codec) campaign of a sweep — the durable
 // equivalent of core.MatrixJob, expressed with registry names instead
-// of live values so it serializes into the manifest and journal.
+// of live values so it serializes into the manifest.
 type Spec struct {
 	Field string `json:"field"` // sdrbench key, e.g. "CESM/CLOUD"
 	Codec string `json:"codec"` // numfmt name, e.g. "posit32"
@@ -31,8 +31,8 @@ type Shard struct {
 	BitHi int `json:"bit_hi"` // one past the last bit position (exclusive)
 }
 
-// ID returns the shard's stable, filesystem-safe identifier, used as
-// the journal record filename and in the manifest.
+// ID returns the shard's stable, filesystem-safe identifier, used in
+// error messages and by operators reading the manifest.
 func (s Shard) ID() string {
 	field := strings.NewReplacer("/", "_", " ", "_").Replace(s.Field)
 	return fmt.Sprintf("%s.%s.b%02d-%02d", field, s.Codec, s.BitLo, s.BitHi)

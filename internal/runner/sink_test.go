@@ -74,10 +74,10 @@ func TestSinkStreamsCampaign(t *testing.T) {
 	}
 }
 
-// TestSinkFedOnResume pins that journal-resumed shards flow through
+// TestSinkFedOnResume pins that store-resumed shards flow through
 // the sink too: run durably without a sink, then resume with one —
-// every shard arrives via the journal and the store must still equal
-// the reference CSV.
+// every shard is recovered from the state directory's stores and the
+// sink's store must still equal the reference CSV.
 func TestSinkFedOnResume(t *testing.T) {
 	stateDir := t.TempDir()
 	first, err := Run(context.Background(), testCfg(stateDir))

@@ -1,23 +1,29 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"positres/internal/core"
+	"positres/internal/store"
 )
 
-// state owns the durable side of a run: the manifest file and the
-// journal directory. With Config.Dir empty it degrades to a no-op so
+// state owns the durable side of a run: the manifest file and one
+// store per (field, codec) pair, which is the only durable record of
+// a completed shard. With Config.Dir empty it degrades to a no-op so
 // the orchestration (cancellation, watchdog, retry) works without any
 // filesystem footprint.
 type state struct {
 	dir          string
-	journalDir   string
 	manifestPath string
 	manifest     *Manifest
+	// resuming is set when a previous run's manifest was found (and
+	// matched): its stores are reopened instead of started fresh.
+	resuming bool
+	stores   []*store.Writer // index-aligned with the specs
 }
 
 func (s *state) enabled() bool { return s.dir != "" }
@@ -32,10 +38,9 @@ func openState(cfg *Config, params campaignParams, specs []Spec) (*state, error)
 	}
 	s := &state{
 		dir:          cfg.Dir,
-		journalDir:   filepath.Join(cfg.Dir, "journal"),
 		manifestPath: filepath.Join(cfg.Dir, "manifest.json"),
 	}
-	if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: state dir: %w", err)
 	}
 	prev, err := loadManifest(s.manifestPath)
@@ -51,6 +56,7 @@ func openState(cfg *Config, params campaignParams, specs []Spec) (*state, error)
 			return nil, err
 		}
 		created = prev.CreatedAt
+		s.resuming = true
 	}
 	s.manifest = &Manifest{
 		Version:      manifestVersion,
@@ -63,21 +69,57 @@ func openState(cfg *Config, params campaignParams, specs []Spec) (*state, error)
 	return s, nil
 }
 
-// load returns a shard's verified journal record, if any. Any read,
-// framing or CRC failure — or a record for a different campaign under
-// the same name — counts as "not journaled" and the shard reruns.
-func (s *state) load(sh Shard, params campaignParams) (recordMeta, []core.Trial, bool) {
+// openStores opens one store per spec in the state directory: fresh
+// for a new campaign, through store.Resume (with keep judging each
+// recovered block) when resuming.
+func (s *state) openStores(specs []Spec, keep func(sp Spec, bitLo, bitHi int, trials []core.Trial) bool) error {
 	if !s.enabled() {
-		return recordMeta{}, nil, false
+		return nil
 	}
-	meta, trials, err := readRecord(recordPath(s.journalDir, sh))
-	if err != nil {
-		return recordMeta{}, nil, false
+	for _, sp := range specs {
+		path := filepath.Join(s.dir, store.FileName(sp.Field, sp.Codec))
+		var w *store.Writer
+		var err error
+		if s.resuming {
+			w, err = store.Resume(path, sp.Field, sp.Codec, func(bitLo, bitHi int, trials []core.Trial) bool {
+				return keep(sp, bitLo, bitHi, trials)
+			})
+		} else {
+			w, err = store.NewWriter(path, sp.Field, sp.Codec)
+		}
+		if err != nil {
+			s.closeStores()
+			return fmt.Errorf("runner: store for %s: %w", sp.Key(), err)
+		}
+		s.stores = append(s.stores, w)
 	}
-	if meta.Shard != sh || meta.Campaign != params {
-		return recordMeta{}, nil, false
+	return nil
+}
+
+// append makes one completed shard durable in its spec's store. Safe
+// for concurrent use: each store serializes its own appends.
+func (s *state) append(si int, sh Shard, trials []core.Trial) error {
+	if !s.enabled() {
+		return nil
 	}
-	return meta, trials, true
+	return s.stores[si].AppendShard(sh.BitLo, sh.BitHi, trials)
+}
+
+// snapshot returns each store's live aggregate document.
+func (s *state) snapshot() []*store.AggregateDoc {
+	var docs []*store.AggregateDoc
+	for _, w := range s.stores {
+		docs = append(docs, w.Doc())
+	}
+	return docs
+}
+
+// closeStores releases every store that is not sealed, leaving its
+// pending file for a Resume run.
+func (s *state) closeStores() {
+	for _, w := range s.stores {
+		_ = w.Close() // best effort: every block is already fsynced; only the release can fail
+	}
 }
 
 // begin marks the campaign running in the manifest before any shard
@@ -91,32 +133,28 @@ func (s *state) begin(statuses []ShardStatus) error {
 	return writeManifest(s.manifestPath, s.manifest)
 }
 
-// journal persists one completed shard. Safe for concurrent use:
-// records are distinct files written atomically.
-func (s *state) journal(st ShardStatus, params campaignParams, trials []core.Trial) error {
-	return writeRecord(s.journalDir, recordMeta{
-		Shard:      st.Shard,
-		Campaign:   params,
-		Trials:     len(trials),
-		DurationNS: st.DurationNS,
-		Attempts:   st.Attempts,
-	}, trials)
-}
-
-// finish records the campaign's final state. Called on every exit path
-// that reaches the drain, including cancellation.
+// finish seals the store of every spec that produced a result (unless
+// the run was cancelled), then records the campaign's final state in
+// the manifest. Sealing comes first: a crash in between leaves sealed
+// stores under a "running" manifest, which a Resume run reopens as
+// fully recovered. Called on every exit path that reaches the drain,
+// including cancellation.
 func (s *state) finish(rep *Report) error {
 	if !s.enabled() {
 		return nil
 	}
-	s.manifest.Shards = rep.Shards
-	switch {
-	case rep.Cancelled:
-		s.manifest.State = StateCancelled
-	case rep.Failed > 0:
-		s.manifest.State = StatePartial
-	default:
-		s.manifest.State = StateComplete
+	if !rep.Cancelled {
+		var errs []error
+		for si, res := range rep.Results {
+			if res != nil {
+				errs = append(errs, s.stores[si].Seal())
+			}
+		}
+		if err := errors.Join(errs...); err != nil {
+			return fmt.Errorf("runner: seal: %w", err)
+		}
 	}
+	s.manifest.Shards = rep.Shards
+	s.manifest.State = rep.Outcome()
 	return writeManifest(s.manifestPath, s.manifest)
 }

@@ -59,7 +59,7 @@ func NewRNG(seed uint64, labels ...string) *RNG {
 //
 // The derived stream is bit-identical to NewRNG with the equivalent
 // flat label list; TestLabelHashEquivalence pins this, because every
-// journaled campaign replays through these streams.
+// resumed campaign replays through these streams.
 type LabelHash uint64
 
 // fnvOffset/fnvPrime are the standard 64-bit FNV-1a parameters.

@@ -293,7 +293,7 @@ func TestRNGStreams(t *testing.T) {
 
 // TestLabelHashEquivalence: the precomputed-hash fast path used by the
 // campaign hot loop must reproduce NewRNG's streams bit for bit —
-// journaled campaigns replay through these streams, so any divergence
+// resumed campaigns replay through these streams, so any divergence
 // silently changes every result.
 func TestLabelHashEquivalence(t *testing.T) {
 	cases := [][]string{

@@ -7,13 +7,12 @@ package serve
 // "?wait=1" on submission couples the campaign to the request's
 // context: the handler blocks until the job finishes, and if the
 // client disconnects first the cancellation threads all the way down
-// through runner.Run into core.RunRange, the runner journals what
-// completed, and a restart resumes the remainder.
+// through the runner into core.RunRange, the completed shards stay in
+// the job's pending stores, and a restart resumes the remainder.
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -109,13 +108,13 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("wait") == "1" {
 		// Couple the campaign to this request: block until terminal,
 		// and cancel the job if the client goes away first. The
-		// journaled shards survive either way.
+		// stored shards survive either way.
 		select {
 		case <-j.done:
 			writeJSON(w, http.StatusOK, statusOf(j))
 		case <-r.Context().Done():
 			j.cancelRun()
-			<-j.done // runner drains and journals before the job finishes
+			<-j.done // runner drains and stores before the job finishes
 		}
 		return
 	}
@@ -217,49 +216,25 @@ func (s *Server) handleCampaignResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wantAggregate := acceptsAggregate(r.Header.Get("Accept"))
-	rd, err := store.Open(filepath.Join(j.dir, store.FileName(ref.Field, ref.Format)))
-	if err == nil {
-		defer func() {
-			if cerr := rd.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "positserve: result close:", cerr)
-			}
-		}()
-		if wantAggregate {
-			writeJSON(w, http.StatusOK, rd.Doc())
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if rerr := rd.RenderCSV(w); rerr != nil {
-			// Headers are committed; all we can do is log the broken pipe.
-			fmt.Fprintln(os.Stderr, "positserve: result stream:", rerr)
-		}
-		return
-	}
-
-	// No store file: a legacy CSV published by an older server. It has
-	// no footer aggregates, so only the CSV representation exists.
-	if wantAggregate {
-		writeError(w, http.StatusConflict, codeNotReady,
-			"campaign %s predates the columnar store; only the CSV representation is available", st.ID)
-		return
-	}
-	f, err := os.Open(filepath.Join(j.dir, csvName(ref.Field, ref.Format)))
+	rd, err := store.Open(filepath.Join(j.stateDir(), store.FileName(ref.Field, ref.Format)))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, "open result: %v", err)
 		return
 	}
 	defer func() {
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "positserve: result close:", err)
+		if cerr := rd.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "positserve: result close:", cerr)
 		}
 	}()
+	if acceptsAggregate(r.Header.Get("Accept")) {
+		writeJSON(w, http.StatusOK, rd.Doc())
+		return
+	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	if _, err := io.Copy(w, f); err != nil {
+	if rerr := rd.RenderCSV(w); rerr != nil {
 		// Headers are committed; all we can do is log the broken pipe.
-		fmt.Fprintln(os.Stderr, "positserve: result stream:", err)
+		fmt.Fprintln(os.Stderr, "positserve: result stream:", rerr)
 	}
 }
 

@@ -10,8 +10,8 @@ package serve
 // shard simply lands on another worker on the next attempt. Because
 // workers return byte-exact trials — packed binary frames
 // (docs/WIRE.md) from peers that speak them, CSV from ones that don't
-// — and the coordinator journals them through the same CRC-guarded
-// records a local run uses, the final campaign CSVs are
+// — and the coordinator stores them through the same CRC-guarded
+// blocks a local run uses, the final campaign CSVs are
 // byte-identical to a single-node run (TestDistributedEquivalence and
 // TestMixedFleetEquivalence pin this).
 

@@ -58,7 +58,7 @@ func TestErrorEnvelopeEveryCode(t *testing.T) {
 	if !ok || len(done.Results) != 1 {
 		t.Fatalf("job %s: ok=%v results=%v", done.ID, ok, done.Results)
 	}
-	if err := os.Remove(filepath.Join(j.dir, store.FileName(done.Results[0].Field, done.Results[0].Format))); err != nil {
+	if err := os.Remove(filepath.Join(j.stateDir(), store.FileName(done.Results[0].Field, done.Results[0].Format))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,7 @@ package serve
 // CRC trailer), coordinator→worker deadline propagation, and the
 // derived Retry-After backpressure hint. The headline test proves the
 // acceptance criterion of the chaos harness: a corrupted or truncated
-// worker response is retried and NEVER merged into the journal — the
+// worker response is retried and NEVER merged into the store — the
 // final CSVs stay byte-identical to a clean run.
 
 import (
@@ -304,7 +304,7 @@ func TestCorruptShardRetriedNeverMerged(t *testing.T) {
 
 	// The published CSV must be byte-identical to a fault-free local
 	// run of the same campaign — the corrupted body never reached the
-	// journal.
+	// store.
 	_, local := newTestServer(t, Config{})
 	lst, err := NewClient(local.URL, nil).SubmitCampaign(ctx, cs, true)
 	if err != nil {

@@ -3,12 +3,14 @@ package serve
 // The campaign job store: a bounded submission queue drained by a
 // fixed worker pool, with every job's truth persisted under
 // DataDir/jobs/<id>/ — job.json (the normalized request) next to the
-// runner state directory (manifest + shard journal). Because the
-// runner journals every completed shard, a server crash or SIGTERM
-// loses at most in-flight shard attempts: on restart, recover() scans
-// the jobs directory and re-enqueues every unfinished job with
-// Resume, and the resumed results are byte-identical to an
-// uninterrupted run (scripts/serve_e2e.sh pins this end to end).
+// runner state directory (manifest + one trial store per result).
+// Because the runner appends every completed shard to its store as an
+// fsynced block, a server crash or SIGTERM loses at most in-flight
+// shard attempts: on restart, recover() scans the jobs directory and
+// re-enqueues every unfinished job with Resume, and the resumed
+// results are byte-identical to an uninterrupted run
+// (scripts/serve_e2e.sh pins this end to end). Results are served
+// straight from the sealed stores in state/.
 
 import (
 	"context"
@@ -20,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +56,9 @@ const (
 // ShardCounts is the live shard tally of a job, as served in
 // CampaignStatus.
 type ShardCounts struct {
-	// Done counts shards computed and journaled this run.
+	// Done counts shards computed and stored this run.
 	Done int `json:"done"`
-	// Resumed counts shards loaded from a prior run's journal.
+	// Resumed counts shards recovered from a prior run's stores.
 	Resumed int `json:"resumed"`
 	// Failed counts shards that exhausted their retry budget.
 	Failed int `json:"failed"`
@@ -95,10 +96,10 @@ type job struct {
 	counts     ShardCounts
 	results    []ResultRef
 	cancel     context.CancelFunc // non-nil only while running
-	// cw is the live trial store the campaign streams into; non-nil
-	// only while running. /metrics reads its O(specs×bits) aggregate
-	// snapshot for the mid-campaign dashboard section.
-	cw   *store.CampaignWriter
+	// camp is the running campaign; non-nil only while running.
+	// /metrics reads its stores' O(specs×bits) aggregate snapshot for
+	// the mid-campaign dashboard section.
+	camp *runner.Campaign
 	done chan struct{}
 }
 
@@ -107,7 +108,7 @@ func (j *job) stateDir() string { return filepath.Join(j.dir, "state") }
 
 // cancelRun requests cancellation: a queued job is marked cancelled
 // and skipped when dequeued; a running job has its context cancelled
-// and drains through the runner (completed shards stay journaled).
+// and drains through the runner (completed shards stay stored).
 func (j *job) cancelRun() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -249,7 +250,7 @@ func newJobStore(dir string, queueDepth, campaignWorkers int, metrics *telemetry
 
 // start launches workers workers that execute queued jobs until ctx
 // is cancelled. Jobs running at cancellation drain through the
-// runner: completed shards are journaled, the manifest records
+// runner: completed shards stay in the pending stores, the manifest records
 // "cancelled", and the job resumes on the next process start.
 func (s *jobStore) start(ctx context.Context, workers int) {
 	s.mu.Lock()
@@ -373,18 +374,13 @@ func (s *jobStore) worker(ctx context.Context) {
 	}
 }
 
-// runJob executes one job through the durable runner and publishes
-// its result CSVs. The job context is derived from the worker
-// context, so server drain cancels it; a wait-mode request watcher
-// can cancel it independently through job.cancelRun.
+// runJob executes one job through the durable runner. The job
+// context is derived from the worker context, so server drain cancels
+// it; a wait-mode request watcher can cancel it independently through
+// job.cancelRun.
 func (s *jobStore) runJob(ctx context.Context, j *job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Trials stream shard by shard into a columnar store in the job
-	// directory instead of accumulating in memory; the store also
-	// maintains the per-bit aggregates /metrics serves live.
-	cw := store.NewCampaignWriter(j.dir)
 
 	j.mu.Lock()
 	if j.state != jobQueued { // cancelled while waiting in the queue
@@ -394,16 +390,19 @@ func (s *jobStore) runJob(ctx context.Context, j *job) {
 	j.state = jobRunning
 	j.startedAt = time.Now()
 	j.cancel = cancel
-	j.cw = cw
 	j.mu.Unlock()
 
+	// Trials live only in the runner's stores under state/ (Discard
+	// keeps them out of the Report), so memory stays bounded by the
+	// shards in flight; the same stores keep the per-bit aggregates
+	// /metrics serves live.
 	rcfg := runner.Config{
 		Spec:        &j.req,
 		Dir:         j.stateDir(),
 		Resume:      j.resume,
 		Workers:     s.campaignWorkers,
 		Metrics:     s.metrics,
-		Sink:        cw,
+		Sink:        runner.Discard,
 		OnShardDone: func(st runner.ShardStatus) { s.observeShard(j, st) },
 	}
 	if s.executeFor != nil {
@@ -411,9 +410,16 @@ func (s *jobStore) runJob(ctx context.Context, j *job) {
 		// executor (no workers registered) keeps the campaign local.
 		rcfg.Execute = s.executeFor(&j.req)
 	}
-	rep, err := runner.Run(jctx, rcfg)
+	camp, err := runner.Open(rcfg)
 	if err != nil {
-		cw.Abort()
+		s.finishJob(j, jobFailed, err.Error(), nil)
+		return
+	}
+	j.mu.Lock()
+	j.camp = camp
+	j.mu.Unlock()
+	rep, err := camp.Run(jctx)
+	if err != nil {
 		s.finishJob(j, jobFailed, err.Error(), nil)
 		return
 	}
@@ -429,21 +435,20 @@ func (s *jobStore) runJob(ctx context.Context, j *job) {
 	j.mu.Unlock()
 
 	if rep.Cancelled {
-		// The journal holds the completed shards; the next run rebuilds
-		// the store from it, so the half-written one is just discarded.
-		cw.Abort()
+		// The pending stores hold the completed shards; the next run
+		// resumes them.
 		s.finishJob(j, jobCancelled, "", nil)
 		return
 	}
-	results, err := publishResults(j.id, rep, cw)
-	// Discard stores of specs that did not publish (failed shards in a
-	// partial campaign); Seal already committed the published ones.
-	cw.Abort()
-	if err != nil {
-		s.finishJob(j, jobFailed, err.Error(), nil)
-		return
+	// The runner sealed the store of every spec with a result; a
+	// partial campaign publishes only those.
+	var refs []ResultRef
+	for _, res := range rep.Results {
+		if res != nil {
+			refs = append(refs, ResultRef{Field: res.Field, Format: res.Codec, URL: resultURL(j.id, res.Field, res.Codec)})
+		}
 	}
-	s.finishJob(j, rep.Outcome(), "", results)
+	s.finishJob(j, rep.Outcome(), "", refs)
 }
 
 // observeShard updates the live tally and drives the e2e crash hook.
@@ -474,7 +479,7 @@ func (s *jobStore) finishJob(j *job, state, errMsg string, results []ResultRef) 
 	j.errMsg = errMsg
 	j.finishedAt = time.Now()
 	j.cancel = nil
-	j.cw = nil
+	j.camp = nil
 	if results != nil {
 		j.results = results
 	}
@@ -495,41 +500,15 @@ func (s *jobStore) liveAggregates() []campaignAggregates {
 	var out []campaignAggregates
 	for _, j := range jobs {
 		j.mu.Lock()
-		cw := j.cw
+		camp := j.camp
 		j.mu.Unlock()
-		if cw == nil {
+		if camp == nil {
 			continue
 		}
-		out = append(out, campaignAggregates{ID: j.id, Aggregates: cw.Snapshot()})
+		out = append(out, campaignAggregates{ID: j.id, Aggregates: camp.Snapshot()})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
-}
-
-// publishResults seals one store file per completed (field, format)
-// result and returns the refs in spec order. Partial campaigns publish
-// only their completed specs. Sealing commits the pending file to its
-// final .pts path atomically — the CSV representation is rendered from
-// it on demand by the results handler, byte-identical to the old
-// write-the-CSV path.
-func publishResults(id string, rep *runner.Report, cw *store.CampaignWriter) ([]ResultRef, error) {
-	var refs []ResultRef
-	for i, res := range rep.Results {
-		if res == nil {
-			continue
-		}
-		if err := cw.Seal(res.Field, res.Codec); err != nil {
-			return nil, fmt.Errorf("serve: publish result %d: %w", i, err)
-		}
-		refs = append(refs, ResultRef{Field: res.Field, Format: res.Codec, URL: resultURL(id, res.Field, res.Codec)})
-	}
-	return refs, nil
-}
-
-// csvName is the stable result filename for a (field, format) pair —
-// the same scheme cmd/positcampaign publishes under.
-func csvName(field, format string) string {
-	return fmt.Sprintf("%s_%s.csv", strings.ReplaceAll(field, "/", "_"), format)
 }
 
 // resultURL builds the results endpoint URL for one spec.
@@ -562,11 +541,12 @@ func validJobID(id string) bool {
 }
 
 // recover scans the jobs directory and rebuilds the in-memory view: a
-// job whose manifest says complete and whose CSVs are all present is
-// terminal; everything else — mid-run crash ("running"), clean drain
-// ("cancelled"), partial (failed shards heal on resume), or a crash
-// between manifest completion and CSV publication — is re-enqueued
-// with Resume so the journal is replayed instead of recomputed.
+// job whose manifest says complete and whose sealed stores are all
+// present is terminal; everything else — mid-run crash ("running"),
+// a crash between sealing and the final manifest, clean drain
+// ("cancelled"), partial (failed shards heal on resume) — is
+// re-enqueued with Resume so the stored shards are recovered instead
+// of recomputed.
 func (s *jobStore) recover() ([]*job, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -638,11 +618,11 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 	for _, sh := range man.Shards {
 		switch sh.State {
 		case runner.ShardDone, runner.ShardResumed:
-			j.counts.Resumed++ // journaled: will load, not recompute
+			j.counts.Resumed++ // stored: will be recovered, not recomputed
 		}
 	}
 	if man.State == runner.StateComplete {
-		refs, ok := existingResults(dir, j.id, runner.SpecsOf(&j.req))
+		refs, ok := existingResults(j.stateDir(), j.id, runner.SpecsOf(&j.req))
 		if ok {
 			j.state = jobComplete
 			// The manifest was first written when the run started and
@@ -654,8 +634,8 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 			close(j.done)
 			return j, false, nil
 		}
-		// Manifest finished but CSVs missing (crash inside
-		// publication): resume replays the journal and republishes.
+		// Manifest finished but a store is missing: resume recomputes
+		// what is gone and reseals.
 	}
 	return j, true, nil
 }
@@ -670,16 +650,13 @@ func parseManifestTime(v string) time.Time {
 	return t
 }
 
-// existingResults checks for every spec's published result — a sealed
-// .pts store or a legacy CSV from an older server — returning refs
-// only when all are present.
-func existingResults(dir, id string, specs []runner.Spec) ([]ResultRef, bool) {
+// existingResults checks for every spec's sealed store in the state
+// directory, returning refs only when all are present.
+func existingResults(stateDir, id string, specs []runner.Spec) ([]ResultRef, bool) {
 	var refs []ResultRef
 	for _, sp := range specs {
-		if _, err := os.Stat(filepath.Join(dir, store.FileName(sp.Field, sp.Codec))); err != nil {
-			if _, cerr := os.Stat(filepath.Join(dir, csvName(sp.Field, sp.Codec))); cerr != nil {
-				return nil, false
-			}
+		if _, err := os.Stat(filepath.Join(stateDir, store.FileName(sp.Field, sp.Codec))); err != nil {
+			return nil, false
 		}
 		refs = append(refs, ResultRef{Field: sp.Field, Format: sp.Codec, URL: resultURL(id, sp.Field, sp.Codec)})
 	}

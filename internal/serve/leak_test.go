@@ -91,7 +91,7 @@ func TestJobStoreDrainWithQueuedJobsGoroutineLeak(t *testing.T) {
 	s.start(ctx, 1)
 
 	// Stack the queue deeper than the worker pool, then drain with
-	// work still pending: the unfinished jobs stay journaled for the
+	// work still pending: the unfinished jobs stay stored for the
 	// next process, and every worker goroutine must still exit.
 	for i := 0; i < 4; i++ {
 		if _, verr := s.submit(leakSpec()); verr != nil {

@@ -2,22 +2,18 @@ package serve
 
 // Tests of the results endpoint's content negotiation: the default CSV
 // representation must stay byte-identical to what the pre-store server
-// streamed, an explicit application/json Accept must switch to the
-// positres-aggregate/v1 summary, and campaigns published by older
-// servers (legacy CSV on disk, no .pts store) must keep serving CSV
-// while refusing the aggregate view with the existing not_ready code.
+// streamed, and an explicit application/json Accept must switch to the
+// positres-aggregate/v1 summary.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"positres/internal/runner"
 	"positres/internal/store"
 )
 
@@ -123,47 +119,6 @@ func TestResultsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestResultsLegacyCSVFallback pins compatibility with job directories
-// written before the columnar store: a legacy CSV keeps streaming
-// unchanged, and the aggregate view is refused with the existing
-// not_ready code — no new error vocabulary.
-func TestResultsLegacyCSVFallback(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	st := completeTinyCampaign(t, ts.URL)
-	url := ts.URL + st.Results[0].URL
-	want := fetchCSV(t, url)
-
-	// Rewrite the job directory the way an old server left it: the CSV
-	// on disk, no .pts store.
-	j, ok := srv.jobs.get(st.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	ref := st.Results[0]
-	if err := os.WriteFile(filepath.Join(j.dir, csvName(ref.Field, ref.Format)), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(j.dir, store.FileName(ref.Field, ref.Format))); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := fetchCSV(t, url); !bytes.Equal(got, want) {
-		t.Fatal("legacy CSV fallback differs from the store-rendered bytes")
-	}
-	resp := getWithAccept(t, url, "application/json")
-	var env errorBody
-	if err := decodeBody(resp, &env); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusConflict || env.Error.Code != codeNotReady {
-		t.Fatalf("aggregate on legacy job: %d %+v", resp.StatusCode, env)
-	}
-	var ae *APIError
-	if _, err := NewClient(ts.URL, nil).FetchAggregate(context.Background(), st.ID, ref.Field, ref.Format); !errors.As(err, &ae) || ae.Code != codeNotReady {
-		t.Fatalf("client aggregate on legacy job: %v", err)
-	}
-}
-
 // decodeBody drains and closes a response body into out as JSON.
 func decodeBody(resp *http.Response, out interface{}) error {
 	defer resp.Body.Close()
@@ -185,32 +140,33 @@ func TestMetricsLiveAggregates(t *testing.T) {
 		t.Fatalf("finished campaign still reported live: %+v", after.CampaignAggregates)
 	}
 
-	// Simulate the mid-run window: give the finished job a live writer
-	// with one appended shard and read the snapshot the handler serves.
+	// Simulate the mid-run window: give the finished job a live
+	// campaign — the same spec reopened with Resume over a completed
+	// state directory, so its stores hold every trial, unsealed.
 	j, _ := srv.jobs.get(st.ID)
-	cw := store.NewCampaignWriter(t.TempDir())
-	defer cw.Abort()
-	rd, err := store.Open(filepath.Join(j.dir, store.FileName("CESM/CLOUD", "posit8")))
+	cfg := runner.Config{Spec: &j.req, Dir: t.TempDir(), Workers: 1}
+	ref, err := runner.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials, err := rd.Trials()
-	if cerr := rd.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
+	cfg.Resume = true
+	camp, err := runner.Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.AppendShard("CESM/CLOUD", "posit8", 0, 8, trials); err != nil {
 		t.Fatal(err)
 	}
 	j.mu.Lock()
-	j.cw = cw
+	j.camp = camp
 	j.mu.Unlock()
 	defer func() {
 		j.mu.Lock()
-		j.cw = nil
+		j.camp = nil
 		j.mu.Unlock()
+		// Run on a cancelled context releases the stores.
+		cctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := camp.Run(cctx); err != nil {
+			t.Error(err)
+		}
 	}()
 
 	var live metricsResponse
@@ -219,7 +175,7 @@ func TestMetricsLiveAggregates(t *testing.T) {
 		t.Fatalf("live aggregates = %+v", live.CampaignAggregates)
 	}
 	aggs := live.CampaignAggregates[0].Aggregates
-	if len(aggs) != 1 || aggs[0].Sealed || aggs[0].Trials != uint64(len(trials)) {
+	if len(aggs) != 1 || aggs[0].Sealed || aggs[0].Trials != uint64(len(ref.Results[0].Trials)) {
 		t.Fatalf("live snapshot = %+v", aggs)
 	}
 }

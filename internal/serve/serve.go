@@ -15,7 +15,7 @@
 //   - GET /healthz — liveness and drain state.
 //
 // Durability is inherited from internal/runner: every completed shard
-// is journaled under DataDir, so a crash (kill -9) or a graceful
+// is an fsynced store block under DataDir, so a crash (kill -9) or a graceful
 // drain (SIGTERM) loses at most in-flight shard attempts, and the
 // next process start resumes unfinished jobs automatically with
 // results byte-identical to an uninterrupted run.
@@ -40,7 +40,8 @@ const maxBodyBytes = 1 << 20
 // DataDir is usable and takes the documented default.
 type Config struct {
 	// DataDir is the root of all persistent state: jobs live under
-	// DataDir/jobs/<id>/ with their runner journal in state/.
+	// DataDir/jobs/<id>/ with their runner state (manifest and
+	// stores) in state/.
 	// Required; reusing the directory across restarts is what makes
 	// jobs resume.
 	DataDir string
@@ -151,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 // Start launches the job worker pool and, in coordinator mode, the
 // worker heartbeat loop. Cancelling ctx begins the graceful drain: no
 // new jobs are dequeued, running campaigns are cancelled through the
-// runner (completed shards journaled, manifest marked cancelled), and
+// runner (completed shards stored, manifest marked cancelled), and
 // Wait returns once the pool has drained.
 func (s *Server) Start(ctx context.Context) {
 	s.jobs.start(ctx, s.cfg.JobWorkers)

@@ -16,7 +16,6 @@ import (
 
 	"positres/internal/runner"
 	"positres/internal/spec"
-	"positres/internal/store"
 )
 
 // tinyCampaign is a sub-second campaign body used across tests.
@@ -419,9 +418,9 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 }
 
 // TestRecovery pins the restart story end to end in-process: a
-// completed job survives as terminal state; a job whose CSVs were
-// lost after the manifest completed is re-enqueued on construction
-// and republishes byte-identical results from the journal.
+// completed job survives as terminal state; a job that crashed after
+// sealing its store but before its final manifest is re-enqueued on
+// construction and republishes byte-identical results from the store.
 func TestRecovery(t *testing.T) {
 	dir := t.TempDir()
 
@@ -458,19 +457,24 @@ func TestRecovery(t *testing.T) {
 			got.StartedAt, got.FinishedAt, man.CreatedAt, man.UpdatedAt)
 	}
 
-	// Delete the published store (simulating a crash between manifest
-	// completion and publication): a third server must re-enqueue the
-	// job, replay the journal, and republish identical bytes.
-	jobDir := filepath.Join(dir, "jobs", st.ID)
-	if err := os.Remove(filepath.Join(jobDir, store.FileName("CESM/CLOUD", "posit8"))); err != nil {
+	// Put the manifest back to "running" (simulating a crash between
+	// sealing the store and writing the final manifest): a third server
+	// must re-enqueue the job, recover every shard from the sealed
+	// store, and republish identical bytes without recomputing.
+	man.State = runner.StateRunning
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(j2.stateDir(), "manifest.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv3, ts3 := newTestServer(t, Config{DataDir: dir})
 	waitForState(t, srv3, st.ID, "complete")
 	j3, _ := srv3.jobs.get(st.ID)
 	got := statusOf(j3)
-	if got.Shards.Resumed != 1 {
-		t.Errorf("recovered shards = %+v, want 1 resumed (journal replay, not recompute)", got.Shards)
+	if got.Shards.Resumed != 1 || got.Shards.Done != 0 {
+		t.Errorf("recovered shards = %+v, want 1 resumed, 0 recomputed", got.Shards)
 	}
 	csv3 := fetchCSV(t, ts3.URL+got.Results[0].URL)
 	if !bytes.Equal(csv1, csv3) {

@@ -32,7 +32,7 @@ import (
 // Shard integrity and deadline headers of the worker protocol. The
 // worker announces the exact row count up front and a CRC-32 (IEEE) of
 // the CSV bytes as an HTTP trailer; the coordinator's client verifies
-// both before a shard result may reach the journal, so a truncated or
+// both before a shard result may reach the store, so a truncated or
 // corrupted body is a retryable shard failure, never silent data loss.
 // The deadline header carries the coordinator watchdog's remaining
 // budget so a chaos-delayed worker abandons computation in step with
@@ -85,7 +85,7 @@ type workerList struct {
 // spec, regenerate the field deterministically, compute the bit range
 // through the same core engine a local run uses, and stream the
 // trials as CSV. The response is byte-exact trial data, so the
-// coordinator's journal — and therefore the final CSVs — cannot
+// coordinator's store — and therefore the final CSVs — cannot
 // distinguish local from remote computation.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
@@ -168,7 +168,7 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	// Integrity envelope: exact row count as a header (known before the
 	// body) and a CRC-32 of the CSV bytes as a declared trailer (known
 	// only after). A fault anywhere on the wire breaks at least one of
-	// them, and the client refuses to journal the shard.
+	// them, and the client refuses to store the shard.
 	w.Header().Set("Trailer", trailerShardCRC)
 	w.Header().Set(headerShardRows, strconv.Itoa(len(trials)))
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")

@@ -81,7 +81,7 @@ type CampaignSpec struct {
 	// KeepZeros allows exactly-zero elements to be selected (their
 	// relative error is recorded as catastrophic).
 	KeepZeros bool `json:"keep_zeros"`
-	// BitsPerShard is the journaling granularity; 0 means 8.
+	// BitsPerShard is the durability granularity; 0 means 8.
 	BitsPerShard int `json:"bits_per_shard"`
 	// MaxRetries bounds per-shard retries after the first attempt;
 	// nil means 2.
@@ -178,7 +178,7 @@ func (s *CampaignSpec) MaxRetriesValue() int {
 	return *s.MaxRetries
 }
 
-// TotalShards returns how many journal shards the campaign cuts into:
+// TotalShards returns how many durable shards the campaign cuts into:
 // for every (field, format) pair, its codec width split into
 // BitsPerShard-sized ranges. Call it on a validated spec; unknown
 // formats (impossible after Validate) contribute zero.

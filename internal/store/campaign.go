@@ -3,20 +3,20 @@ package store
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"positres/internal/core"
 )
 
 // CampaignWriter fans a campaign's shards out to one Writer per
-// (field, codec) pair, creating each store file lazily on its first
-// shard. It implements the runner's shard sink: AppendShard may be
-// called concurrently for any mix of specs, and the per-spec Writer
-// serializes its own blocks and aggregates. Stores are sealed
-// per-spec as the campaign publishes results; Abort discards whatever
-// has not sealed (the shard journal remains the recovery source, so
-// an aborted store is rebuilt by resume, not repaired in place).
+// (field, codec) pair, creating each store file lazily (and fresh) on
+// its first shard. It implements the runner's shard sink: AppendShard
+// may be called concurrently for any mix of specs, and the per-spec
+// Writer serializes its own blocks and aggregates. Stores are sealed
+// per spec as the campaign publishes results; Abort deletes whatever
+// has not sealed. It is the sink for a second copy of a campaign's
+// trials — the runner keeps its own resumable stores in its state
+// directory.
 type CampaignWriter struct {
 	dir     string
 	mu      sync.Mutex
@@ -75,27 +75,4 @@ func (cw *CampaignWriter) Abort() {
 	for _, w := range cw.writers {
 		w.Abort()
 	}
-}
-
-// Snapshot returns a live (unsealed-view) aggregate document per
-// spec, sorted by (field, codec) — the payload of the /metrics
-// mid-campaign dashboard section. O(specs×bits) regardless of how
-// many trials have streamed through.
-func (cw *CampaignWriter) Snapshot() []*AggregateDoc {
-	cw.mu.Lock()
-	writers := make([]*Writer, 0, len(cw.writers))
-	keys := make([]string, 0, len(cw.writers))
-	for k := range cw.writers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		writers = append(writers, cw.writers[k])
-	}
-	cw.mu.Unlock()
-	docs := make([]*AggregateDoc, 0, len(writers))
-	for _, w := range writers {
-		docs = append(docs, w.Doc())
-	}
-	return docs
 }

@@ -144,8 +144,9 @@ func (r *Reader) bitOrder() []blockInfo {
 	return blocks
 }
 
-// readBlock reads and decodes one block, appending its trials to dst.
-// buf is the reusable raw-byte scratch; both grown slices return.
+// readBlock reads and decodes one block, appending its trials to dst
+// and checking them against the footer's index entry. buf is the
+// reusable raw-byte scratch; both grown slices return.
 func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, []core.Trial, error) {
 	if cap(buf) < b.Length {
 		buf = make([]byte, b.Length)
@@ -154,26 +155,36 @@ func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, [
 	if _, err := r.f.ReadAt(buf, b.Offset); err != nil {
 		return buf, dst, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
 	}
-	dst, err := r.decodeBlock(buf, b, dst)
-	return buf, dst, err
+	base := len(dst)
+	bitLo, bitHi, dst, err := decodeBlock(buf, r.field, r.codec, dst)
+	if err != nil {
+		return buf, dst, err
+	}
+	if bitLo != b.BitLo || bitHi != b.BitHi || len(dst)-base != b.Rows {
+		return buf, dst, fmt.Errorf("%w: block at %d holds bits [%d, %d) in %d rows, footer index says [%d, %d) in %d",
+			ErrCorrupt, b.Offset, bitLo, bitHi, len(dst)-base, b.BitLo, b.BitHi, b.Rows)
+	}
+	return buf, dst, nil
 }
 
-// decodeBlock decodes one block's columns into trials appended to
-// dst, verifying the CRC first and every length and index before use.
-func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core.Trial, error) {
+// decodeBlock decodes one complete block frame (length prefix through
+// CRC) of a (field, codec) store into trials appended to dst,
+// returning the block's bit range. The CRC is verified first and
+// every length and index before use.
+func decodeBlock(data []byte, field, codec string, dst []core.Trial) (bitLo, bitHi int, _ []core.Trial, _ error) {
 	payload, err := unwrapFrame(data, blockMagic)
 	if err != nil {
-		return dst, err
+		return 0, 0, dst, err
 	}
 	c := &cursor{buf: payload}
 	if cols := c.byte(); c.err == nil && int(cols) != len(trialWireHeader) {
-		return dst, fmt.Errorf("%w: block carries %d columns per row, this reader maps %d",
+		return 0, 0, dst, fmt.Errorf("%w: block carries %d columns per row, this reader maps %d",
 			ErrCorrupt, cols, len(trialWireHeader))
 	}
-	bitLo := c.intv()
-	bitHi := c.intv()
-	if c.err == nil && (bitLo != b.BitLo || bitHi != b.BitHi) {
-		c.fail("block bit range [%d, %d) disagrees with footer index [%d, %d)", bitLo, bitHi, b.BitLo, b.BitHi)
+	bitLo = c.intv()
+	bitHi = c.intv()
+	if c.err == nil && bitHi <= bitLo {
+		c.fail("block bit range [%d, %d)", bitLo, bitHi)
 	}
 	nNames := c.uvarint()
 	if c.err == nil && nNames > maxNames {
@@ -184,9 +195,6 @@ func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core
 		names = append(names, c.str())
 	}
 	rows := c.uvarint()
-	if c.err == nil && rows != uint64(b.Rows) {
-		c.fail("block declares %d rows, footer index %d", rows, b.Rows)
-	}
 	// Each row costs at least 7 varint/meta bytes plus 40 fixed float
 	// bytes across the columns; refuse impossible counts before
 	// allocating.
@@ -196,7 +204,7 @@ func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core
 		}
 	}
 	if c.err != nil {
-		return dst, c.err
+		return 0, 0, dst, c.err
 	}
 	base := len(dst)
 	need := base + int(rows)
@@ -211,8 +219,8 @@ func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core
 	out := dst[base:]
 	for i := range out {
 		tr := &out[i]
-		tr.Field = r.field
-		tr.Codec = r.codec
+		tr.Field = field
+		tr.Codec = codec
 		tr.Bit = c.intv()
 		if c.err == nil && (tr.Bit < bitLo || tr.Bit >= bitHi) {
 			c.fail("row %d bit %d outside block range [%d, %d)", i, tr.Bit, bitLo, bitHi)
@@ -260,12 +268,12 @@ func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core
 		out[i].RelErr = c.float()
 	}
 	if c.err != nil {
-		return dst, c.err
+		return 0, 0, dst, c.err
 	}
 	if c.off != len(c.buf) {
-		return dst, fmt.Errorf("%w: %d trailing payload bytes after last column", ErrCorrupt, len(c.buf)-c.off)
+		return 0, 0, dst, fmt.Errorf("%w: %d trailing payload bytes after last column", ErrCorrupt, len(c.buf)-c.off)
 	}
-	return dst, nil
+	return bitLo, bitHi, dst, nil
 }
 
 // RenderCSV streams the store's rows to w as CSV, byte-identical to

@@ -9,12 +9,15 @@
 // append time so a summary is O(fields×bits) regardless of trial
 // count. docs/STORE.md is the normative format specification.
 //
-// The write path goes through internal/atomicio's PendingFile: blocks
-// stream to a temporary file for the life of the campaign and the
-// final .pts appears only when Seal lands the footer, so a crash
-// leaves no torn store — the shard journal remains the recovery
-// source of truth and a resumed campaign simply rebuilds the store
-// from replayed shards.
+// The write path is the campaign's durable record. Blocks append to a
+// pending file at atomicio.PendingPath(path) and each AppendShard
+// returns only once its block is fsynced; the final .pts appears only
+// when Seal lands the footer and renames the file into place. After a
+// crash, Resume keeps the verified block prefix of the pending file
+// (truncating at the first torn, corrupt, duplicate or unplanned
+// block) and re-folds the aggregates from it, so a resumed campaign
+// appends only its missing shards (docs/STORE.md, "Durable append and
+// recovery").
 //
 // Reading back is lossless by construction: every float column stores
 // the exact bit pattern, so RenderCSV reproduces core.WriteTrialsCSV

@@ -330,7 +330,7 @@ func TestAbortLeavesNoFile(t *testing.T) {
 }
 
 // TestCampaignWriter pins the sink fan-out: two specs, interleaved
-// shards, per-spec sealing, live snapshots.
+// shards, per-spec sealing.
 func TestCampaignWriter(t *testing.T) {
 	dir := t.TempDir()
 	cw := NewCampaignWriter(dir)
@@ -348,25 +348,6 @@ func TestCampaignWriter(t *testing.T) {
 			if err := cw.AppendShard(shard[0].Field, "posit16", lo, lo+8, shard); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-
-	docs := cw.Snapshot()
-	if len(docs) != 2 {
-		t.Fatalf("%d snapshot docs, want 2", len(docs))
-	}
-	if docs[0].Field != "CESM/CLOUD" || docs[1].Field != "HACC/vx" {
-		t.Fatalf("snapshot order: %s, %s", docs[0].Field, docs[1].Field)
-	}
-	for _, doc := range docs {
-		if doc.Sealed {
-			t.Errorf("%s: live snapshot claims sealed", doc.Field)
-		}
-		if doc.Trials != 48 { // 16 bits × 3 trials
-			t.Errorf("%s: %d trials in snapshot, want 48", doc.Field, doc.Trials)
-		}
-		if doc.Schema != DocSchema {
-			t.Errorf("%s: schema %q", doc.Field, doc.Schema)
 		}
 	}
 

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
+	"os"
 	"sync"
 
 	"positres/internal/atomicio"
@@ -24,11 +28,15 @@ type blockInfo struct {
 
 // Writer builds one .pts file: a header, one columnar block per
 // appended shard, and at Seal a footer indexing the blocks and
-// carrying the online aggregates. All bytes stream through an
-// atomicio.PendingFile, so the final path appears only on a
-// successful Seal; Abort (or a crash) leaves at most a temp file.
-// Writer is safe for concurrent use; the aggregates fold under the
-// same lock that orders the blocks.
+// carrying the online aggregates. Until Seal the bytes live in a
+// pending file at atomicio.PendingPath(path), never at the final
+// path. Every AppendShard returns only once its block is fsynced, so
+// the pending file is the durable record of a campaign's progress:
+// after a crash, Resume keeps its verified blocks and the campaign
+// appends only the shards still missing. Abort deletes the pending
+// file; Close leaves it for a later Resume. Writer is safe for
+// concurrent use; the aggregates fold under the same lock that orders
+// the blocks.
 type Writer struct {
 	mu      sync.Mutex
 	pf      *atomicio.PendingFile
@@ -39,7 +47,7 @@ type Writer struct {
 	blocks  []blockInfo
 	bits    map[int]*bitState
 	rows    uint64
-	done    bool  // sealed or aborted
+	done    bool  // sealed, aborted or closed
 	err     error // first write failure; sticky, forces Abort
 
 	// Scratch reused across AppendShard calls so the steady-state
@@ -50,33 +58,169 @@ type Writer struct {
 	rowIdx  []int
 }
 
-// NewWriter opens a pending store file at path for one (field, codec)
-// pair and writes its header. Callers must finish with Seal or Abort.
+// NewWriter starts a fresh pending store for one (field, codec) pair
+// at atomicio.PendingPath(path), discarding any pending bytes already
+// there, and writes its header. Callers must finish with Seal, Abort
+// or Close.
 func NewWriter(path, field, codec string) (*Writer, error) {
-	if len(field) > maxStringLen || len(codec) > maxStringLen {
-		return nil, fmt.Errorf("%w: field/codec name over %d bytes", ErrCorrupt, maxStringLen)
-	}
-	pf, err := atomicio.Create(path)
+	w, err := openWriter(path, field, codec)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{
+	if err := w.reset(); err != nil {
+		w.pf.Abort()
+		return nil, err
+	}
+	return w, nil
+}
+
+// Resume reopens the pending store for path after a crash or an
+// interrupted campaign and returns a writer that appends after the
+// blocks it kept. If no pending file exists but a sealed store does
+// (a crash between Seal and the caller's own bookkeeping), the sealed
+// file is reopened as pending: its blocks are kept and its footer is
+// rewritten, byte-identically, by the next Seal. With neither, Resume
+// starts an empty store like NewWriter.
+//
+// Blocks are verified in file order. The file is truncated at the
+// first block that is torn, fails its CRC or structural checks,
+// overlaps the bit range of a block already kept (a duplicate), or
+// is refused by keep (out of the caller's shard plan); every block
+// after that point is dropped with it. keep sees each verified
+// block's range and freshly decoded trials before it is kept and may
+// retain them. The per-bit aggregates are re-folded from the kept
+// blocks, so the writer's Doc equals that of a fresh writer fed the
+// same shards in the same order. A header that does not match
+// (field, codec) discards the whole file.
+func Resume(path, field, codec string, keep func(bitLo, bitHi int, trials []core.Trial) bool) (*Writer, error) {
+	if _, err := os.Stat(atomicio.PendingPath(path)); errors.Is(err, fs.ErrNotExist) {
+		if err := os.Rename(path, atomicio.PendingPath(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("store: reopen sealed %s: %w", path, err)
+		}
+	}
+	w, err := openWriter(path, field, codec)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.recover(keep); err != nil {
+		_ = w.pf.Close() // best effort: keep the pending bytes for another try
+		return nil, err
+	}
+	return w, nil
+}
+
+// openWriter opens the pending file for path without touching its
+// contents.
+func openWriter(path, field, codec string) (*Writer, error) {
+	if len(field) > maxStringLen || len(codec) > maxStringLen {
+		return nil, fmt.Errorf("%w: field/codec name over %d bytes", ErrCorrupt, maxStringLen)
+	}
+	pf, err := atomicio.Resume(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Writer{
 		pf:      pf,
 		path:    path,
 		field:   field,
 		codec:   codec,
 		bits:    map[int]*bitState{},
 		nameIdx: map[string]int{},
-	}
+	}, nil
+}
+
+// header returns the file header bytes: magic, version and the
+// (field, codec) pair.
+func (w *Writer) header() []byte {
 	hdr := append([]byte(fileMagic), Version)
-	hdr = appendString(hdr, field)
-	hdr = appendString(hdr, codec)
-	w.headCRC = crc32.ChecksumIEEE(hdr)
-	if _, err := pf.Write(hdr); err != nil {
-		pf.Abort()
-		return nil, fmt.Errorf("store: header %s: %w", path, err)
+	hdr = appendString(hdr, w.field)
+	return appendString(hdr, w.codec)
+}
+
+// reset empties the pending file and writes a fresh header.
+func (w *Writer) reset() error {
+	if err := w.pf.Truncate(0); err != nil {
+		return err
 	}
-	return w, nil
+	hdr := w.header()
+	w.headCRC = crc32.ChecksumIEEE(hdr)
+	if _, err := w.pf.Write(hdr); err != nil {
+		return fmt.Errorf("store: header %s: %w", w.path, err)
+	}
+	return nil
+}
+
+// recover keeps the verified block prefix of the pending file, as
+// Resume documents, and truncates the rest.
+func (w *Writer) recover(keep func(bitLo, bitHi int, trials []core.Trial) bool) error {
+	hdr := w.header()
+	size, err := w.pf.Size()
+	if err != nil {
+		return err
+	}
+	if size < int64(len(hdr)) {
+		return w.reset()
+	}
+	got := make([]byte, len(hdr))
+	if _, err := w.pf.ReadAt(got, 0); err != nil {
+		return fmt.Errorf("store: recover %s: %w", w.path, err)
+	}
+	if !bytes.Equal(got, hdr) {
+		return w.reset()
+	}
+	w.headCRC = crc32.ChecksumIEEE(hdr)
+	off := int64(len(hdr))
+	var prefix [4]byte
+	var raw []byte
+	for off+4 <= size {
+		if _, err := w.pf.ReadAt(prefix[:], off); err != nil {
+			return fmt.Errorf("store: recover %s: %w", w.path, err)
+		}
+		n := int64(binary.LittleEndian.Uint32(prefix[:])) + 4
+		if n-4 > MaxBlockBytes || off+n > size {
+			break // torn: the length prefix outruns the file
+		}
+		if int64(cap(raw)) < n {
+			raw = make([]byte, n)
+		}
+		raw = raw[:n]
+		if _, err := w.pf.ReadAt(raw, off); err != nil {
+			return fmt.Errorf("store: recover %s: %w", w.path, err)
+		}
+		lo, hi, trials, err := decodeBlock(raw, w.field, w.codec, nil)
+		if err != nil || w.overlaps(lo, hi) || (keep != nil && !keep(lo, hi, trials)) {
+			break
+		}
+		w.record(blockInfo{Offset: off, Length: int(n), Rows: len(trials), BitLo: lo, BitHi: hi}, trials)
+		off += n
+	}
+	return w.pf.Truncate(off)
+}
+
+// overlaps reports whether [bitLo, bitHi) intersects a kept block.
+func (w *Writer) overlaps(bitLo, bitHi int) bool {
+	for _, b := range w.blocks {
+		if bitLo < b.BitHi && b.BitLo < bitHi {
+			return true
+		}
+	}
+	return false
+}
+
+// record indexes one durable block and folds its trials into the
+// per-bit aggregates.
+func (w *Writer) record(b blockInfo, trials []core.Trial) {
+	w.blocks = append(w.blocks, b)
+	for i := range trials {
+		tr := &trials[i]
+		st := w.bits[tr.Bit]
+		if st == nil {
+			st = newBitState()
+			w.bits[tr.Bit] = st
+		}
+		st.fold(tr)
+	}
+	w.rows += uint64(len(trials))
 }
 
 // Field returns the dataset field key the store holds.
@@ -92,12 +236,14 @@ func (w *Writer) Rows() uint64 {
 	return w.rows
 }
 
-// AppendShard encodes one shard's trials as a columnar block and
-// folds them into the per-bit aggregates. Every trial must carry the
+// AppendShard encodes one shard's trials as a columnar block, writes
+// and fsyncs it, and folds the trials into the per-bit aggregates; it
+// returns only once the block is durable. Every trial must carry the
 // writer's (field, codec) and a bit within [bitLo, bitHi) — the
-// half-open shard range convention internal/runner uses; violations are append errors, not
-// silent corruption. After any error the writer is spent: further
-// appends fail and Seal aborts.
+// half-open shard range convention internal/runner uses; violations
+// are append errors, not silent corruption. After a write or fsync
+// error the writer is spent: further appends fail and Seal aborts,
+// while Close keeps the blocks already durable for a Resume.
 func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -121,23 +267,11 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 		w.err = fmt.Errorf("store: block %s: %w", w.path, err)
 		return w.err
 	}
-	w.blocks = append(w.blocks, blockInfo{
-		Offset: offset,
-		Length: len(buf),
-		Rows:   len(trials),
-		BitLo:  bitLo,
-		BitHi:  bitHi,
-	})
-	for i := range trials {
-		tr := &trials[i]
-		st := w.bits[tr.Bit]
-		if st == nil {
-			st = newBitState()
-			w.bits[tr.Bit] = st
-		}
-		st.fold(tr)
+	if err := w.pf.Sync(); err != nil {
+		w.err = fmt.Errorf("store: block %s: %w", w.path, err)
+		return w.err
 	}
-	w.rows += uint64(len(trials))
+	w.record(blockInfo{Offset: offset, Length: len(buf), Rows: len(trials), BitLo: bitLo, BitHi: bitHi}, trials)
 	return nil
 }
 
@@ -256,20 +390,19 @@ func (w *Writer) Doc() *AggregateDoc {
 }
 
 // Seal writes the footer (block index + aggregates), the locating
-// trailer, and commits the file to its final path. After Seal the
-// writer is spent.
+// trailer, and commits the pending file to its final path. After Seal
+// the writer is spent.
 func (w *Writer) Seal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
 		return fmt.Errorf("%w: %s", ErrSealed, w.path)
 	}
+	w.done = true
 	if w.err != nil {
-		w.done = true
 		w.pf.Abort()
 		return w.err
 	}
-	w.done = true
 	buf := appendFooter(w.buf[:0], w.headCRC, w.blocks, w.rows, w.bits)
 	w.buf = buf[:0]
 	// Trailer: the footer frame's byte span plus the end magic, so a
@@ -277,14 +410,14 @@ func (w *Writer) Seal() error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(buf)))
 	buf = append(buf, endMagic...)
 	if _, err := w.pf.Write(buf); err != nil {
-		w.pf.Abort()
+		_ = w.pf.Close() // best effort: a Resume drops the torn footer
 		return fmt.Errorf("store: footer %s: %w", w.path, err)
 	}
 	return w.pf.Commit()
 }
 
-// Abort discards the pending file. Safe to call after Seal (no-op),
-// so callers can defer it unconditionally.
+// Abort deletes the pending file. Safe to call after Seal or Close
+// (no-op), so callers can defer it unconditionally.
 func (w *Writer) Abort() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -293,4 +426,17 @@ func (w *Writer) Abort() {
 	}
 	w.done = true
 	w.pf.Abort()
+}
+
+// Close releases the pending file without sealing it: every block
+// appended so far stays durable at atomicio.PendingPath(path) for a
+// later Resume. A no-op after Seal, Abort or an earlier Close.
+func (w *Writer) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.done {
+		return nil
+	}
+	w.done = true
+	return w.pf.Close()
 }

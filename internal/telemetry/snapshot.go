@@ -32,11 +32,11 @@ type Snapshot struct {
 	// BitsDone counts completed bit positions.
 	BitsDone int64 `json:"bits_done"`
 
-	// ShardsDone counts shards computed and journaled this process.
+	// ShardsDone counts shards computed and stored this process.
 	ShardsDone int64 `json:"shards_done"`
 	// ShardsFailed counts shards that exhausted their retry budget.
 	ShardsFailed int64 `json:"shards_failed"`
-	// ShardsResumed counts shards loaded from a prior run's journal.
+	// ShardsResumed counts shards recovered from a prior run's stores.
 	ShardsResumed int64 `json:"shards_resumed"`
 	// Retries counts shard attempts beyond the first.
 	Retries int64 `json:"retries"`

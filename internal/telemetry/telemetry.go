@@ -194,11 +194,11 @@ type Metrics struct {
 	Injections Counter
 	// BitsDone counts completed bit positions.
 	BitsDone Counter
-	// ShardsDone counts shards computed and journaled this process.
+	// ShardsDone counts shards computed and stored this process.
 	ShardsDone Counter
 	// ShardsFailed counts shards that exhausted their retry budget.
 	ShardsFailed Counter
-	// ShardsResumed counts shards loaded from a prior run's journal.
+	// ShardsResumed counts shards recovered from a prior run's stores.
 	ShardsResumed Counter
 	// Retries counts shard attempts beyond the first.
 	Retries Counter

@@ -14,8 +14,8 @@
 // Trial values, bit for bit, which is what keeps distributed campaign
 // CSVs byte-identical to local ones.
 //
-// CSV remains the only export and rendering format (journal records,
-// GET /v1/campaigns/{id}/results); frames exist strictly on the
+// CSV remains the only export and rendering format
+// (GET /v1/campaigns/{id}/results); frames exist strictly on the
 // coordinator↔worker hop and are negotiated per request via the
 // Accept header (see Accepts), so an old worker or coordinator falls
 // back to CSV without configuration.

@@ -199,7 +199,7 @@ type (
 
 var (
 	// RunDurable executes a CampaignSpec durably under a state
-	// directory: journaled shards, crash-safe resume, bounded retries
+	// directory: fsynced shard stores, crash-safe resume, bounded retries
 	// (and, under positserve coordinator mode, distributed fan-out).
 	RunDurable = runner.Run
 	// NewServeClient dials a positserve instance (coordinator or

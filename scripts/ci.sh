@@ -101,9 +101,10 @@ echo "ok (archived as artifacts/BENCH_PR10.json)"
 banner "wire fuzz smoke: 5s over the binary frame decoder"
 $GO test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
 
-banner "store fuzz smoke: 5s each over the .pts footer index and opener"
+banner "store fuzz smoke: 5s each over the .pts footer index, opener and pending-store recovery"
 $GO test -run '^$' -fuzz FuzzFooterIndex -fuzztime 5s ./internal/store/
 $GO test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/store/
+$GO test -run '^$' -fuzz FuzzRecoverPending -fuzztime 5s ./internal/store/
 
 banner "store smoke: 10M-trial campaign, bounded memory, CSV byte-identical"
 GOMEMLIMIT=256MiB $GO run ./cmd/positstore smoke \

@@ -6,10 +6,11 @@
 # documented in docs/RESILIENCE.md:
 #   1. a reference run, uninterrupted;
 #   2. a hard-crash run (-debug-crash-after: os.Exit(137) mid-campaign)
-#      — journal records must exist, no CSV may be visible;
+#      — pending stores must exist, no CSV or sealed store may be
+#      visible;
 #   3. resume of the crash run;
 #   4. a SIGINT run (-debug-sigint-after: the real signal path) — exit
-#      130, manifest "cancelled", no CSV visible;
+#      130, manifest "cancelled", no CSV or sealed store visible;
 #   5. resume of the SIGINT run;
 #   6. byte-for-byte cmp of every resumed CSV against the reference.
 set -eu
@@ -39,12 +40,12 @@ if [ "$status" -ne 137 ]; then
 	echo "expected exit 137 from the crash run, got $status"
 	exit 1
 fi
-if ! ls "$TMP/crash/journal/"*.rec >/dev/null 2>&1; then
-	echo "no journal records survived the crash"
+if ! ls "$TMP/crash/"*.pts.pending >/dev/null 2>&1; then
+	echo "no pending store survived the crash"
 	exit 1
 fi
-if ls "$TMP/crash/"*.csv >/dev/null 2>&1; then
-	echo "partial CSV observable at the final path after a crash"
+if ls "$TMP/crash/"*.csv "$TMP/crash/"*.pts >/dev/null 2>&1; then
+	echo "partial CSV or store observable at the final path after a crash"
 	exit 1
 fi
 
@@ -63,8 +64,8 @@ if ! grep -q '"state": "cancelled"' "$TMP/sigint/manifest.json"; then
 	cat "$TMP/sigint/manifest.json"
 	exit 1
 fi
-if ls "$TMP/sigint/"*.csv >/dev/null 2>&1; then
-	echo "CSV observable at the final path after SIGINT"
+if ls "$TMP/sigint/"*.csv "$TMP/sigint/"*.pts >/dev/null 2>&1; then
+	echo "CSV or store observable at the final path after SIGINT"
 	exit 1
 fi
 

@@ -6,8 +6,9 @@
 #      /metrics must carry a positres-telemetry/v1 snapshot while the
 #      campaign is in flight;
 #   2. a second server is hard-crashed mid-campaign
-#      (-debug-crash-after: os.Exit(137) with no drain) — journal
-#      records must exist, no result CSV may be served or published;
+#      (-debug-crash-after: os.Exit(137) with no drain) — pending
+#      stores must exist, no result CSV or sealed store may be
+#      published;
 #   3. a third server on the same -data-dir must auto-resume the job
 #      to completion with no resubmission;
 #   4. the resumed CSVs must be byte-identical to the reference ones;
@@ -127,12 +128,12 @@ if [ "$status" -ne 137 ]; then
 	cat "$TMP/crash.log"
 	exit 1
 fi
-if ! ls "$TMP/crash/jobs/$CRASH_ID/state/journal/"*.rec >/dev/null 2>&1; then
-	echo "no journal records survived the crash"
+if ! ls "$TMP/crash/jobs/$CRASH_ID/state/"*.pts.pending >/dev/null 2>&1; then
+	echo "no pending store survived the crash"
 	exit 1
 fi
-if ls "$TMP/crash/jobs/$CRASH_ID/"*.csv >/dev/null 2>&1; then
-	echo "partial CSV published after a crash"
+if ls "$TMP/crash/jobs/$CRASH_ID/"*.csv "$TMP/crash/jobs/$CRASH_ID/state/"*.pts >/dev/null 2>&1; then
+	echo "partial CSV or store published after a crash"
 	exit 1
 fi
 
@@ -140,7 +141,7 @@ echo "--- restart on the same data dir: job must auto-resume, no resubmission"
 start_server "$TMP/crash" "$TMP/restart.log"
 wait_complete "$CRASH_ID"
 $CURL "$BASE/v1/campaigns/$CRASH_ID" | grep -q '"resumed": [1-9]' || {
-	echo "resumed shard count is zero; the journal was not replayed"
+	echo "resumed shard count is zero; the pending store was not recovered"
 	$CURL "$BASE/v1/campaigns/$CRASH_ID"
 	exit 1
 }
