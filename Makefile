@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet lint deadcode lint-fix lint-json lint-prune race ci resume-e2e serve-e2e cluster-e2e chaos-e2e load load-smoke serve bench bench-json bench-compare bench-go store-smoke report report-paper fuzz fuzz-short examples clean
+.PHONY: all build test test-short vet lint deadcode lint-fix lint-json lint-prune race ci resume-e2e serve-e2e cluster-e2e chaos-e2e load load-smoke serve bench-go store-smoke report report-paper fuzz fuzz-short examples clean
 
 all: build vet lint test
 
@@ -98,20 +98,6 @@ load-smoke:
 serve:
 	$(GO) run ./cmd/positserve -data-dir serve-state
 
-# Fixed-budget benchmark suite (docs/PERF.md). `bench` prints the
-# table; `bench-json` also writes the schema-versioned trajectory file
-# committed as the PR's perf baseline.
-bench:
-	$(GO) run ./cmd/positbench
-
-bench-json:
-	$(GO) run ./cmd/positbench -out BENCH_PR10.json
-
-# Informational perf trajectory: rerun the suite and print it next to
-# the previous PR's committed baseline (never fails on numbers).
-bench-compare:
-	$(GO) run ./cmd/positbench -compare BENCH_PR9.json
-
 # Bounded-memory columnar-store equivalence check (docs/STORE.md): a
 # 10⁷-trial campaign streamed shard-by-shard into a .pts store under a
 # small GOMEMLIMIT, its rendered CSV SHA-256-compared against the
@@ -120,8 +106,9 @@ store-smoke:
 	GOMEMLIMIT=256MiB $(GO) run ./cmd/positstore smoke \
 		-format posit16 -n 1000000 -trials 625000 -bits-per-shard 1
 
-# Raw `go test` benchmarks (the figure-regeneration harness in
-# bench_test.go), for ad-hoc -bench=regexp runs.
+# The micro-benchmark suite: `go test` benchmarks (the figure
+# regeneration harness and substrate micro-benchmarks in
+# bench_test.go). The end-to-end benchmark is perfbench/ (docs/PERF.md).
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -199,8 +199,8 @@ func BenchmarkP32Decode(b *testing.B) {
 }
 
 // BenchmarkP8DecodeLUT / BenchmarkP8DecodeGeneric measure the 256-entry
-// decode table against the generic field-walking decoder it replaced
-// (cmd/positbench tracks the same pair in the committed baseline).
+// decode table against the generic field-walking decoder it replaced;
+// the P16 pair does the same for the 65536-entry table.
 func BenchmarkP8DecodeLUT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkF64 = posit.DecodeFloat64(posit.Std8, uint64(i&0xFF))
@@ -222,6 +222,34 @@ func BenchmarkP16DecodeLUT(b *testing.B) {
 func BenchmarkP16DecodeGeneric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkF64 = posit.DecodeFloat64Generic(posit.Std16, uint64(i&0xFFFF))
+	}
+}
+
+// BenchmarkP32DecodeCLZ / BenchmarkP32DecodeGeneric measure the
+// branchless count-leading-zeros decoder the 32- and 64-bit formats
+// use against the generic decoder; the P64 pair does the same at
+// width 64.
+func BenchmarkP32DecodeCLZ(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkF64 = posit.DecodeFloat64CLZ(posit.Std32, uint64(0x40000000+i&0xFFFFF))
+	}
+}
+
+func BenchmarkP32DecodeGeneric(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkF64 = posit.DecodeFloat64Generic(posit.Std32, uint64(0x40000000+i&0xFFFFF))
+	}
+}
+
+func BenchmarkP64DecodeCLZ(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkF64 = posit.DecodeFloat64CLZ(posit.Std64, uint64(0x4000000000000000+i&0xFFFFF))
+	}
+}
+
+func BenchmarkP64DecodeGeneric(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkF64 = posit.DecodeFloat64Generic(posit.Std64, uint64(0x4000000000000000+i&0xFFFFF))
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,9 +93,12 @@ func TestJSONFormat(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("json lint exit = %d, want 1", code)
 	}
-	rep, err := lint.ReadJSON(strings.NewReader(out))
-	if err != nil {
+	var rep lint.JSONReport
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("output is not a valid report: %v", err)
+	}
+	if rep.Schema != lint.JSONSchema {
+		t.Errorf("schema = %q, want %q", rep.Schema, lint.JSONSchema)
 	}
 	if rep.Count == 0 || rep.Count != len(rep.Issues) {
 		t.Errorf("report count = %d with %d issues", rep.Count, len(rep.Issues))

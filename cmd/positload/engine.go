@@ -423,9 +423,9 @@ func readArtifact(r io.Reader) (*artifact, error) {
 }
 
 // compareBaseline prints an informational trajectory diff against a
-// prior artifact. Load numbers are environment-sensitive, so — like
-// positbench -compare — this never turns a regression into an exit
-// code; the budget flags stay the only automated gate (docs/PERF.md).
+// prior artifact. Load numbers are environment-sensitive, so this
+// never turns a regression into an exit code; the budget flags stay
+// the only automated gate (docs/PERF.md).
 func (a *artifact) compareBaseline(w io.Writer, old *artifact) {
 	fmt.Fprintf(w, "positload: baseline %s (%s, %v)\n", old.Target, old.FinishedAt,
 		time.Duration(old.DurationNS).Round(time.Millisecond))

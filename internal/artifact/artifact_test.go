@@ -6,17 +6,17 @@ import (
 )
 
 func TestCheckSchemaMatch(t *testing.T) {
-	if err := CheckSchema("positres-bench/v1", "positres-bench/v1"); err != nil {
+	if err := CheckSchema("positres-aggregate/v1", "positres-aggregate/v1"); err != nil {
 		t.Fatalf("matching schema rejected: %v", err)
 	}
 }
 
 func TestCheckSchemaMismatch(t *testing.T) {
-	err := CheckSchema("positres-bench/v2", "positres-bench/v1")
+	err := CheckSchema("positres-aggregate/v2", "positres-aggregate/v1")
 	if err == nil {
 		t.Fatal("version bump accepted")
 	}
-	for _, want := range []string{"positres-bench/v2", "positres-bench/v1"} {
+	for _, want := range []string{"positres-aggregate/v2", "positres-aggregate/v1"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}

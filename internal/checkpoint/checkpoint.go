@@ -56,12 +56,6 @@ func (c *Checkpoint) Restore(a *kernels.Array) error {
 	return a.RestoreSnapshot(c.words)
 }
 
-// CorruptWord flips one bit inside the snapshot (for testing the
-// checkpoint's own integrity path).
-func (c *Checkpoint) CorruptWord(i, bit int) {
-	c.words[i] ^= 1 << uint(bit)
-}
-
 // GuardedResult reports a guarded solve.
 type GuardedResult struct {
 	kernels.SolveResult

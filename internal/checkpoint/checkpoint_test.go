@@ -30,10 +30,10 @@ func TestTakeVerifyRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Load(2) != 3 || a.Load(0) != 1 {
-		t.Fatalf("restore failed: %v", a.Float64s())
+		t.Fatalf("restore failed: a[0]=%v a[2]=%v", a.Load(0), a.Load(2))
 	}
 	// A corrupted checkpoint refuses to restore.
-	ck.CorruptWord(1, 5)
+	ck.words[1] ^= 1 << 5
 	if ck.Verify() {
 		t.Fatal("corrupted checkpoint should fail verification")
 	}

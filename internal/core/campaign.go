@@ -154,11 +154,11 @@ func RunRange(ctx context.Context, cfg Config, codec numfmt.Codec, fieldKey stri
 // buf has capacity for every trial of the range it is resliced and
 // filled in place (the returned slice aliases it); otherwise a fresh
 // slice is allocated exactly as RunRange would. Threading one buffer
-// through repeated calls — the runner's retry loop, positbench's
-// steady-state measurement — makes the campaign loop allocation-free:
-// with Workers == 1 the range runs serially on the calling goroutine,
-// with no channel, no pool and no per-trial allocations (the PRNG
-// keying is stack-only; BENCH_PR9.json pins 0 allocs/op).
+// through repeated calls — the runner's retry loop, a benchmark's
+// steady-state loop — makes the campaign loop allocation-free: with
+// Workers == 1 the range runs serially on the calling goroutine, with
+// no channel, no pool and no per-trial allocations (the PRNG keying is
+// stack-only; TestRunRangeSerialZeroAllocs pins 0 allocs/op).
 func RunRangeInto(ctx context.Context, cfg Config, codec numfmt.Codec, fieldKey string, data []float64, lo, hi int, buf []Trial) ([]Trial, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: empty dataset for %s", fieldKey)
@@ -294,20 +294,6 @@ func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit
 		tr.RelErr = p.RelErr
 		tr.Catastrophic = p.Catastrophic
 	}
-}
-
-// RunAll executes the campaign for several codecs over the same data,
-// returning results keyed in input order.
-func RunAll(ctx context.Context, cfg Config, codecs []numfmt.Codec, fieldKey string, data []float64) ([]*Result, error) {
-	out := make([]*Result, 0, len(codecs))
-	for _, c := range codecs {
-		r, err := Run(ctx, cfg, c, fieldKey, data)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // FaultyArrayStats returns the summary statistics of the dataset with

@@ -177,18 +177,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	data := testData(t, "CESM/CLOUD", 5000)
-	codecs := []numfmt.Codec{mustCodec(t, "posit32"), mustCodec(t, "ieee32")}
-	rs, err := RunAll(context.Background(), smallCfg(), codecs, "CESM/CLOUD", data)
-	if err != nil || len(rs) != 2 {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if rs[0].Codec != "posit32" || rs[1].Codec != "ieee32" {
-		t.Error("result order")
-	}
-}
-
 // TestAggregateByBit: counts and means match hand computation.
 func TestAggregateByBit(t *testing.T) {
 	trials := []Trial{
@@ -413,25 +401,6 @@ func TestSDCProbability(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	trials := []Trial{
-		{RelErr: 0.1}, {RelErr: 0.3}, {RelErr: 0.2}, {Catastrophic: true},
-	}
-	x, p, inf := ECDF(trials)
-	if len(x) != 3 || x[0] != 0.1 || x[2] != 0.3 {
-		t.Fatalf("x: %v", x)
-	}
-	if p[0] != 0.25 || p[2] != 0.75 {
-		t.Errorf("p: %v", p)
-	}
-	if inf != 0.25 {
-		t.Errorf("inf frac: %v", inf)
-	}
-	if x, _, _ := ECDF(nil); x != nil {
-		t.Error("empty ECDF")
-	}
-}
-
 // TestSDCCurvesPositVsIEEE: at a tolerance of 100% relative error, the
 // posit campaign corrupts at most as often as IEEE on upper bits, and
 // the overall corruption rate is lower or comparable.
@@ -511,56 +480,9 @@ func metricsEqual(a, b qcat.Metrics) bool {
 		eq(a.MaxValRangeRelErr, b.MaxValRangeRelErr)
 }
 
-// TestRunMatrix: a multi-job sweep returns ordered, deterministic
-// results and matches individually run campaigns.
-func TestRunMatrix(t *testing.T) {
-	f1, _ := sdrbench.Lookup("CESM/CLOUD")
-	f2, _ := sdrbench.Lookup("HACC/vx")
-	cfg := smallCfg()
-	jobs := []MatrixJob{
-		{Field: f1, Codec: mustCodec(t, "posit32"), N: 4000, Seed: 7},
-		{Field: f1, Codec: mustCodec(t, "ieee32"), N: 4000, Seed: 7},
-		{Field: f2, Codec: mustCodec(t, "posit32"), N: 4000, Seed: 7},
-	}
-	rs, err := RunMatrix(context.Background(), cfg, jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 || rs[0].Codec != "posit32" || rs[1].Codec != "ieee32" || rs[2].Field != "HACC/vx" {
-		t.Fatalf("results: %v %v %v", rs[0].Codec, rs[1].Codec, rs[2].Field)
-	}
-	// Equal to a standalone run of the same job.
-	data := sdrbench.ToFloat64(f1.Generate(4000, 7))
-	solo, err := Run(context.Background(), cfg, mustCodec(t, "posit32"), f1.Key(), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(solo.Trials, rs[0].Trials) {
-		t.Fatal("matrix result differs from standalone run")
-	}
-	// Errors propagate.
-	bad := []MatrixJob{{Field: f1, Codec: mustCodec(t, "posit32"), N: 0, Seed: 1}}
-	if _, err := RunMatrix(context.Background(), cfg, bad, 1); err == nil {
-		t.Error("zero-N job should error")
-	}
-}
-
-func TestFullSweepJobs(t *testing.T) {
-	jobs, err := FullSweepJobs([]string{"posit32", "ieee32"}, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 32 { // 16 fields × 2 formats
-		t.Fatalf("jobs: %d", len(jobs))
-	}
-	if _, err := FullSweepJobs([]string{"bogus"}, 1000, 1); err == nil {
-		t.Error("unknown codec should error")
-	}
-}
-
 // TestRunRangeIntoReusesBuffer: a caller-supplied buffer with enough
 // capacity is filled in place and the results are identical to an
-// allocating run — the hot-path contract runner and positbench lean on.
+// allocating run — the hot-path contract the runner leans on.
 func TestRunRangeIntoReusesBuffer(t *testing.T) {
 	data := testData(t, "Hurricane/Uf30", 20000)
 	codec := mustCodec(t, "posit32")
@@ -603,10 +525,9 @@ func TestRunRangeIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestRunRangeSerialZeroAllocs pins the tentpole property of PR 9:
-// with one worker and a reused buffer the campaign loop allocates
-// nothing per call (BENCH_PR9.json carries the benchmark-grade
-// number; this is the cheap regression tripwire).
+// TestRunRangeSerialZeroAllocs pins the hot-path property: with one
+// worker and a reused buffer the campaign loop allocates nothing per
+// call. It is the allocs/op gate of the tier-1 suite.
 func TestRunRangeSerialZeroAllocs(t *testing.T) {
 	data := testData(t, "Hurricane/Uf30", 20000)
 	codec := mustCodec(t, "posit32")

@@ -6,8 +6,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"positres/internal/sdrbench"
 )
 
 // TestRunPreCancelled: a context cancelled before the call returns the
@@ -22,21 +20,6 @@ func TestRunPreCancelled(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("pre-cancelled Run must not return a result")
-	}
-}
-
-// TestRunMatrixPreCancelled: same contract for a matrix sweep.
-func TestRunMatrixPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	f, _ := sdrbench.Lookup("CESM/CLOUD")
-	jobs := []MatrixJob{{Field: f, Codec: mustCodec(t, "posit32"), N: 2000, Seed: 7}}
-	rs, err := RunMatrix(ctx, smallCfg(), jobs, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if rs != nil {
-		t.Fatal("pre-cancelled RunMatrix must not return results")
 	}
 }
 
@@ -74,38 +57,6 @@ func TestRunCancelMidCampaign(t *testing.T) {
 		if res != nil {
 			t.Fatalf("workers=%d: cancelled run returned a result", workers)
 		}
-	}
-}
-
-// TestRunMatrixCancelMidSweep: cancellation during a multi-job sweep
-// drains the outer pool and reports the context error.
-func TestRunMatrixCancelMidSweep(t *testing.T) {
-	f1, _ := sdrbench.Lookup("CESM/CLOUD")
-	f2, _ := sdrbench.Lookup("HACC/vx")
-	cfg := smallCfg()
-	cfg.TrialsPerBit = 5000
-	var jobs []MatrixJob
-	for i := 0; i < 4; i++ {
-		jobs = append(jobs,
-			MatrixJob{Field: f1, Codec: mustCodec(t, "posit32"), N: 20000, Seed: uint64(i + 1)},
-			MatrixJob{Field: f2, Codec: mustCodec(t, "ieee32"), N: 20000, Seed: uint64(i + 1)})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var err error
-	go func(ctx context.Context) {
-		_, err = RunMatrix(ctx, cfg, jobs, 2)
-		close(done)
-	}(ctx)
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled matrix did not drain")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

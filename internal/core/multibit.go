@@ -69,7 +69,7 @@ func RunMultiBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64
 }
 
 // randomDistinct draws k distinct positions in [0, width) using the
-// deterministic sdrbench RNG (bitflip.RandomPositions needs math/rand).
+// deterministic sdrbench RNG, so multi-bit trials replay from the seed.
 func randomDistinct(rng *sdrbench.RNG, width, k int) []int {
 	perm := make([]int, width)
 	for i := range perm {

@@ -60,28 +60,3 @@ func OverallSDCRate(trials []Trial, tau float64) float64 {
 	}
 	return float64(bad) / float64(len(trials))
 }
-
-// ECDF returns the empirical CDF of the finite relative errors in the
-// trials: sorted values x and cumulative probabilities p, plus the
-// fraction of trials whose error was infinite (catastrophic).
-func ECDF(trials []Trial) (x []float64, p []float64, infFrac float64) {
-	vals := make([]float64, 0, len(trials))
-	inf := 0
-	for _, tr := range trials {
-		if tr.Catastrophic || math.IsInf(tr.RelErr, 0) {
-			inf++
-			continue
-		}
-		vals = append(vals, tr.RelErr)
-	}
-	sort.Float64s(vals)
-	n := len(vals) + inf
-	if n == 0 {
-		return nil, nil, 0
-	}
-	p = make([]float64, len(vals))
-	for i := range vals {
-		p[i] = float64(i+1) / float64(n)
-	}
-	return vals, p, float64(inf) / float64(n)
-}

@@ -51,7 +51,7 @@ func predict(data []float64, i int) float64 {
 }
 
 // Calibrate scans clean data and records the worst prediction
-// residual; Scan and Check then flag residuals above Theta × that.
+// residual; Check then flags residuals above Theta × that.
 func (d *Detector) Calibrate(clean []float64) {
 	worst := 0.0
 	for i := 1; i < len(clean); i++ {
@@ -63,9 +63,6 @@ func (d *Detector) Calibrate(clean []float64) {
 	d.threshold = d.Theta * worst
 }
 
-// Threshold returns the calibrated detection threshold.
-func (d *Detector) Threshold() float64 { return d.threshold }
-
 // Check reports whether element i of data looks corrupted.
 func (d *Detector) Check(data []float64, i int) bool {
 	if i == 0 {
@@ -76,17 +73,6 @@ func (d *Detector) Check(data []float64, i int) bool {
 		return true // special values are always detectable
 	}
 	return math.Abs(v-predict(data, i)) > d.threshold
-}
-
-// Scan flags every suspicious index.
-func (d *Detector) Scan(data []float64) []int {
-	var out []int
-	for i := 1; i < len(data); i++ {
-		if d.Check(data, i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // CheckWindow reports whether a corruption at index i is detectable,

@@ -51,11 +51,13 @@ func TestCalibrationZeroFalsePositives(t *testing.T) {
 	data := smoothField(t, 5000)
 	d := New(1.0)
 	d.Calibrate(data)
-	if d.Threshold() <= 0 {
+	if d.threshold <= 0 {
 		t.Fatal("threshold not set")
 	}
-	if flags := d.Scan(data); len(flags) != 0 {
-		t.Fatalf("clean data raised %d false positives", len(flags))
+	for i := range data {
+		if d.Check(data, i) {
+			t.Fatalf("clean data flagged at index %d", i)
+		}
 	}
 }
 

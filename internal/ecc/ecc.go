@@ -173,20 +173,3 @@ func (p *ProtectedArray) Store(i int, v uint32) { p.words[i] = Encode(v) }
 
 // InjectFault flips one raw bit of word i's codeword (pos 0..38).
 func (p *ProtectedArray) InjectFault(i, pos int) { p.words[i] = Flip(p.words[i], pos) }
-
-// Scrub decodes every word, repairing single-bit upsets, and reports
-// how many words were corrected and how many are uncorrectable — the
-// background scrubbing pass of ECC memory controllers.
-func (p *ProtectedArray) Scrub() (corrected, uncorrectable int) {
-	for i := range p.words {
-		v, st := Decode(p.words[i])
-		switch st {
-		case Corrected:
-			p.words[i] = Encode(v)
-			corrected++
-		case Uncorrectable:
-			uncorrectable++
-		}
-	}
-	return corrected, uncorrectable
-}

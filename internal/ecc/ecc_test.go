@@ -97,34 +97,6 @@ func TestProtectedArray(t *testing.T) {
 	}
 }
 
-func TestScrub(t *testing.T) {
-	data := make([]uint32, 50)
-	for i := range data {
-		data[i] = uint32(i * 2654435761)
-	}
-	p := Protect(data)
-	p.InjectFault(3, 5)
-	p.InjectFault(10, 0)
-	p.InjectFault(20, 38)
-	// Word 30 gets a double error.
-	p.InjectFault(30, 4)
-	p.InjectFault(30, 7)
-	corrected, uncorrectable := p.Scrub()
-	if corrected != 3 || uncorrectable != 1 {
-		t.Fatalf("scrub: %d corrected, %d uncorrectable", corrected, uncorrectable)
-	}
-	// The corrected words read clean now.
-	for _, i := range []int{3, 10, 20} {
-		if got, st := p.Load(i); got != data[i] || st != OK {
-			t.Fatalf("word %d not repaired: %#x %v", i, got, st)
-		}
-	}
-	// The double-error word remains uncorrectable.
-	if _, st := p.Load(30); st != Uncorrectable {
-		t.Fatal("double error should persist")
-	}
-}
-
 func TestFlipPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

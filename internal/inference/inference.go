@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"positres/internal/bitflip"
-	"positres/internal/ecc"
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 )
@@ -209,9 +208,6 @@ type Stored struct {
 	// weights holds every parameter's encoded pattern:
 	// [W1..., B1..., W2..., B2...].
 	weights []uint64
-	// prot, when non-nil, shadows weights with SEC-DED codewords
-	// (32-bit formats): loads repair single-bit upsets.
-	prot *ecc.ProtectedArray
 }
 
 // Store encodes an MLP's parameters in the format.
@@ -225,23 +221,6 @@ func Store(m *MLP, codec numfmt.Codec) *Stored {
 	return s
 }
 
-// StoreProtected encodes the parameters under SEC-DED protection
-// (32-bit formats only): weight-bit upsets are corrected on the next
-// inference that touches them.
-func StoreProtected(m *MLP, codec numfmt.Codec) (*Stored, error) {
-	if codec.Width() != 32 {
-		return nil, fmt.Errorf("inference: SEC-DED protection requires a 32-bit format, got %s", codec.Name())
-	}
-	s := &Stored{codec: codec, m: *m}
-	all := flatParams(m)
-	words := make([]uint32, len(all))
-	for i, v := range all {
-		words[i] = uint32(codec.Encode(v))
-	}
-	s.prot = ecc.Protect(words)
-	return s, nil
-}
-
 func flatParams(m *MLP) []float64 {
 	all := make([]float64, 0, len(m.W1)+len(m.B1)+len(m.W2)+len(m.B2))
 	all = append(all, m.W1...)
@@ -252,32 +231,15 @@ func flatParams(m *MLP) []float64 {
 }
 
 // NumWeights returns the parameter count.
-func (s *Stored) NumWeights() int {
-	if s.prot != nil {
-		return s.prot.Len()
-	}
-	return len(s.weights)
-}
+func (s *Stored) NumWeights() int { return len(s.weights) }
 
-// Codec returns the storage format.
-func (s *Stored) Codec() numfmt.Codec { return s.codec }
-
-// FlipWeightBit corrupts one stored parameter. For protected models
-// the flip lands in the 39-bit ECC codeword (bit 0..38).
+// FlipWeightBit corrupts one stored parameter.
 func (s *Stored) FlipWeightBit(idx, bit int) {
-	if s.prot != nil {
-		s.prot.InjectFault(idx, bit)
-		return
-	}
 	s.weights[idx] = bitflip.Flip(s.weights[idx], bit) & maskOf(s.codec)
 }
 
 // Restore repairs parameter idx from the float64 master.
 func (s *Stored) Restore(m *MLP, idx int) {
-	if s.prot != nil {
-		s.prot.Store(idx, uint32(s.codec.Encode(masterParam(m, idx))))
-		return
-	}
 	s.weights[idx] = s.codec.Encode(masterParam(m, idx))
 }
 
@@ -301,14 +263,8 @@ func maskOf(c numfmt.Codec) uint64 {
 	return uint64(1)<<uint(c.Width()) - 1
 }
 
-// param decodes parameter idx (repairing it first when protected).
-func (s *Stored) param(idx int) float64 {
-	if s.prot != nil {
-		w, _ := s.prot.Load(idx)
-		return s.codec.Decode(uint64(w))
-	}
-	return s.codec.Decode(s.weights[idx])
-}
+// param decodes parameter idx.
+func (s *Stored) param(idx int) float64 { return s.codec.Decode(s.weights[idx]) }
 
 // Forward evaluates the stored network (weights decoded per use,
 // arithmetic in float64 — the mixed-precision deployment model).

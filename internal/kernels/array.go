@@ -127,15 +127,6 @@ func maskOf(c numfmt.Codec) uint64 {
 	return uint64(1)<<uint(c.Width()) - 1
 }
 
-// Float64s decodes the whole array.
-func (a *Array) Float64s() []float64 {
-	out := make([]float64, a.Len())
-	for i := range out {
-		out[i] = a.Load(i)
-	}
-	return out
-}
-
 // Snapshot returns a copy of the stored bit patterns (data words; for
 // protected arrays, the repaired words without check bits) — the raw
 // material of a checkpoint.

@@ -1,11 +1,8 @@
 package kernels
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// BLAS-1/2 kernels over format-stored arrays. Arithmetic happens in
+// BLAS-1 kernels over format-stored arrays. Arithmetic happens in
 // float64; every store rounds back into the array's format, so the
 // format's representation error propagates exactly as it would in a
 // mixed-precision application.
@@ -22,16 +19,6 @@ func Dot(a, b *Array) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a *Array) float64 {
-	var s float64
-	for i := 0; i < a.Len(); i++ {
-		v := a.Load(i)
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // AXPY computes y ← αx + y.
 func AXPY(alpha float64, x, y *Array) {
 	if x.Len() != y.Len() {
@@ -39,39 +26,6 @@ func AXPY(alpha float64, x, y *Array) {
 	}
 	for i := 0; i < x.Len(); i++ {
 		y.Store(i, alpha*x.Load(i)+y.Load(i))
-	}
-}
-
-// Scale computes x ← αx.
-func Scale(alpha float64, x *Array) {
-	for i := 0; i < x.Len(); i++ {
-		x.Store(i, alpha*x.Load(i))
-	}
-}
-
-// Copy copies src into dst (rounding into dst's format).
-func Copy(dst, src *Array) {
-	if dst.Len() != src.Len() {
-		panic("kernels: Copy length mismatch")
-	}
-	for i := 0; i < src.Len(); i++ {
-		dst.Store(i, src.Load(i))
-	}
-}
-
-// MatVec computes y ← A·x for a dense row-major m×n matrix stored in
-// an Array.
-func MatVec(a *Array, m, n int, x, y *Array) {
-	if a.Len() != m*n || x.Len() != n || y.Len() != m {
-		panic(fmt.Sprintf("kernels: MatVec shape mismatch: A %d (%dx%d), x %d, y %d",
-			a.Len(), m, n, x.Len(), y.Len()))
-	}
-	for i := 0; i < m; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += a.Load(i*n+j) * x.Load(j)
-		}
-		y.Store(i, s)
 	}
 }
 

@@ -29,8 +29,8 @@ func TestArrayBasics(t *testing.T) {
 	if a.Load(0) != 7 {
 		t.Fatal("store")
 	}
-	if got := a.Float64s(); got[2] != -3 {
-		t.Fatal("float64s")
+	if a.Load(2) != -3 {
+		t.Fatal("load negative")
 	}
 	before := a.Bits(2)
 	a.InjectBitFlip(2, 5)
@@ -83,35 +83,14 @@ func TestBLASKernels(t *testing.T) {
 	if Dot(x, y) != 32 {
 		t.Fatal("dot")
 	}
-	if Norm2(NewArray(c, []float64{3, 4})) != 5 {
-		t.Fatal("norm")
-	}
 	AXPY(2, x, y) // y = 2x + y = {6, 9, 12}
 	if y.Load(0) != 6 || y.Load(2) != 12 {
 		t.Fatal("axpy")
-	}
-	Scale(0.5, y)
-	if y.Load(1) != 4.5 {
-		t.Fatal("scale")
-	}
-	dst := NewArray(c, make([]float64, 3))
-	Copy(dst, x)
-	if dst.Load(2) != 3 {
-		t.Fatal("copy")
-	}
-	// MatVec: 2x2 identity-ish.
-	A := NewArray(c, []float64{1, 0, 0, 2})
-	out := NewArray(c, make([]float64, 2))
-	MatVec(A, 2, 2, NewArray(c, []float64{5, 7}), out)
-	if out.Load(0) != 5 || out.Load(1) != 14 {
-		t.Fatal("matvec")
 	}
 	// Shape panics.
 	for _, f := range []func(){
 		func() { Dot(x, NewArray(c, []float64{1})) },
 		func() { AXPY(1, x, NewArray(c, []float64{1})) },
-		func() { Copy(dst, NewArray(c, []float64{1})) },
-		func() { MatVec(A, 3, 2, x, out) },
 	} {
 		func() {
 			defer func() {

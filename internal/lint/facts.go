@@ -38,15 +38,6 @@ type StructFact struct {
 // Key returns the index key "pkg.Name".
 func (s *StructFact) Key() string { return s.Pkg + "." + s.Name }
 
-// FieldNames returns the field names in declaration order.
-func (s *StructFact) FieldNames() []string {
-	out := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // StringListFact records a package-level `var x = []string{...}` whose
 // elements are all string literals — the shape of this repo's schema
 // registries (core.trialHeader and friends).

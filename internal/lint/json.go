@@ -3,8 +3,8 @@ package lint
 // Machine-readable diagnostics: `positlint -format json` emits a
 // schema-tagged report that CI archives as an artifact (scripts/ci.sh)
 // and downstream tooling can consume without scraping the text form.
-// The schema follows the repo's artifact convention (positres-bench/v1,
-// positres-telemetry/v1): a stable "schema" tag plus a flat issue
+// The schema follows the repo's artifact convention
+// (positres-telemetry/v1, positres-aggregate/v1): a stable "schema" tag plus a flat issue
 // list, so adding fields is backward-compatible and readers can
 // dispatch on the tag.
 
@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"positres/internal/artifact"
 )
 
 // JSONSchema tags every -format json report.
@@ -60,17 +58,4 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	}
 	_, err = w.Write(append(raw, '\n'))
 	return err
-}
-
-// ReadJSON parses a report written by WriteJSON, verifying the schema
-// tag — the round-trip contract CI and tests rely on.
-func ReadJSON(r io.Reader) (*JSONReport, error) {
-	var rep JSONReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("lint: decode report: %w", err)
-	}
-	if err := artifact.CheckSchema(rep.Schema, JSONSchema); err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	return &rep, nil
 }

@@ -28,8 +28,9 @@ func DecodeFloat64(cfg Config, bitsIn uint64) float64 {
 
 // DecodeFloat64Generic is the table-free decode path, valid for every
 // configuration. It is exported (rather than folded into DecodeFloat64)
-// so the LUT equivalence tests and cmd/positbench can measure the
-// pre-LUT baseline against the table lookup.
+// so the LUT equivalence tests and the decode benchmarks of
+// `make bench-go` can measure the pre-LUT baseline against the table
+// lookup and the CLZ decoder.
 //
 // Decoding follows the classical two's-complement method: negative
 // patterns are negated, the magnitude fields are read, and the value is

@@ -79,7 +79,9 @@ type Config struct {
 	// watchdog, retry and durability machinery. positserve's
 	// coordinator uses it to dispatch shards to remote workers; the
 	// trials it returns must be bit-identical to a local computation
-	// (the PRNG keying makes that hold for any faithful executor).
+	// (the PRNG keying makes that hold for any faithful executor). A
+	// result whose shape fails Shard.CheckTrials fails the attempt,
+	// which is then retried like any other attempt error.
 	Execute func(ctx context.Context, sh Shard) ([]core.Trial, error)
 	// FaultHook, when non-nil, runs at the start of every shard
 	// attempt; a non-nil return fails that attempt. It exists to
@@ -659,6 +661,11 @@ func attemptShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard
 		}
 		if cfg.Execute != nil {
 			trials, err := cfg.Execute(actx, sh)
+			if err == nil {
+				if serr := sh.CheckTrials(trials, cfg.campaign.TrialsPerBit); serr != nil {
+					trials, err = nil, fmt.Errorf("runner: shard %s attempt %d: executor result: %w", sh.ID(), attempt, serr)
+				}
+			}
 			done <- outcome{trials, err}
 			return
 		}

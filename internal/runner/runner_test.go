@@ -417,24 +417,13 @@ func TestExecuteHook(t *testing.T) {
 	cfg := testCfg("")
 	var calls int32
 	var failedOnce atomic.Bool
-	ccfg := core.ConfigFromSpec(cfg.Spec)
+	remote := faithfulExecutor(cfg)
 	cfg.Execute = func(ctx context.Context, sh Shard) ([]core.Trial, error) {
 		atomic.AddInt32(&calls, 1)
 		if !failedOnce.Swap(true) {
 			return nil, errors.New("injected remote fault") // first dispatch fails; retry reassigns
 		}
-		// A faithful remote executor: recompute the shard from its
-		// identity alone, as a worker process would.
-		codec, err := numfmt.Lookup(sh.Codec)
-		if err != nil {
-			return nil, err
-		}
-		field, err := sdrbench.Lookup(sh.Field)
-		if err != nil {
-			return nil, err
-		}
-		data := sdrbench.ToFloat64(field.Generate(sh.N, sh.Seed))
-		return core.RunRange(ctx, ccfg, codec, sh.Field, data, sh.BitLo, sh.BitHi)
+		return remote(ctx, sh)
 	}
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -450,6 +439,131 @@ func TestExecuteHook(t *testing.T) {
 		if !bytes.Equal(renderCSV(t, rep.Results[i]), renderCSV(t, ref.Results[i])) {
 			t.Fatalf("spec %s: Execute-hook CSV differs from local run", rep.Specs[i].Key())
 		}
+	}
+}
+
+// faithfulExecutor is a remote executor that recomputes a shard from
+// its identity alone, as a worker process would.
+func faithfulExecutor(cfg Config) func(context.Context, Shard) ([]core.Trial, error) {
+	ccfg := core.ConfigFromSpec(cfg.Spec)
+	return func(ctx context.Context, sh Shard) ([]core.Trial, error) {
+		codec, err := numfmt.Lookup(sh.Codec)
+		if err != nil {
+			return nil, err
+		}
+		field, err := sdrbench.Lookup(sh.Field)
+		if err != nil {
+			return nil, err
+		}
+		data := sdrbench.ToFloat64(field.Generate(sh.N, sh.Seed))
+		return core.RunRange(ctx, ccfg, codec, sh.Field, data, sh.BitLo, sh.BitHi)
+	}
+}
+
+// misshapen are executor answers that decode cleanly but are not the
+// shard asked for: each must fail the attempt, never reach the store.
+var misshapen = map[string]func(trials []core.Trial) []core.Trial{
+	"short": func(trials []core.Trial) []core.Trial { return trials[:len(trials)-1] },
+	"reordered": func(trials []core.Trial) []core.Trial {
+		trials[0], trials[len(trials)-1] = trials[len(trials)-1], trials[0]
+		return trials
+	},
+	"foreign codec": func(trials []core.Trial) []core.Trial {
+		trials[1].Codec = "posit32"
+		return trials
+	},
+	"foreign field": func(trials []core.Trial) []core.Trial {
+		trials[2].Field = "HACC/vy"
+		return trials
+	},
+}
+
+// TestExecuteMisshapenRetried: an executor whose first answer for a
+// shard is a well-formed trial list of the wrong shape (39 of 40
+// trials, say) has that attempt failed and retried; the campaign
+// completes with CSVs byte-identical to a local run.
+func TestExecuteMisshapenRetried(t *testing.T) {
+	ref, err := Run(context.Background(), testCfg(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mangle := range misshapen {
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg(t.TempDir())
+			remote := faithfulExecutor(cfg)
+			var calls int32
+			var mangled atomic.Bool
+			cfg.Execute = func(ctx context.Context, sh Shard) ([]core.Trial, error) {
+				atomic.AddInt32(&calls, 1)
+				trials, err := remote(ctx, sh)
+				if err == nil && !mangled.Swap(true) {
+					trials = mangle(trials)
+				}
+				return trials, err
+			}
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Complete() {
+				t.Fatalf("run not complete: %+v", rep.Shards)
+			}
+			if got := atomic.LoadInt32(&calls); got != testShardTotal+1 {
+				t.Fatalf("Execute called %d times, want %d (every shard + one retry)", got, testShardTotal+1)
+			}
+			retried := 0
+			for _, st := range rep.Shards {
+				if st.Attempts == 2 {
+					retried++
+				}
+			}
+			if retried != 1 {
+				t.Fatalf("%d shards took 2 attempts, want 1", retried)
+			}
+			for i := range rep.Specs {
+				if !bytes.Equal(renderCSV(t, rep.Results[i]), renderCSV(t, ref.Results[i])) {
+					t.Fatalf("spec %s: CSV differs from local run", rep.Specs[i].Key())
+				}
+			}
+		})
+	}
+}
+
+// TestExecuteAlwaysShortPartial: an executor that is always one trial
+// short for a shard leaves that shard failed after its retries and the
+// campaign partial, with nothing of the shard in the store.
+func TestExecuteAlwaysShortPartial(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testCfg(dir)
+	one := 1
+	cfg.Spec.MaxRetries = &one
+	remote := faithfulExecutor(cfg)
+	bad := func(sh Shard) bool { return sh.Field == "HACC/vx" && sh.Codec == "ieee32" && sh.BitLo == 8 }
+	cfg.Execute = func(ctx context.Context, sh Shard) ([]core.Trial, error) {
+		trials, err := remote(ctx, sh)
+		if err == nil && bad(sh) {
+			trials = trials[:len(trials)-1]
+		}
+		return trials, err
+	}
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial() || rep.Failed != 1 || rep.Completed != testShardTotal-1 {
+		t.Fatalf("partial profile: failed=%d completed=%d", rep.Failed, rep.Completed)
+	}
+	for _, st := range rep.Shards {
+		if st.State != ShardFailed {
+			continue
+		}
+		if !bad(st.Shard) || st.Attempts != 2 || !strings.Contains(st.Error, "got 19 trials, want 20") {
+			t.Fatalf("failed shard %s: attempts=%d error=%q", st.Shard.ID(), st.Attempts, st.Error)
+		}
+	}
+	m, err := loadManifest(filepath.Join(dir, "manifest.json"))
+	if err != nil || m == nil || m.State != StatePartial {
+		t.Fatalf("manifest state: %+v (err %v)", m, err)
 	}
 }
 

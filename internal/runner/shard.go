@@ -7,9 +7,9 @@ import (
 	"positres/internal/core"
 )
 
-// Spec is one (field, codec) campaign of a sweep — the durable
-// equivalent of core.MatrixJob, expressed with registry names instead
-// of live values so it serializes into the manifest.
+// Spec is one (field, codec) campaign of a sweep, expressed with
+// registry names instead of live values so it serializes into the
+// manifest.
 type Spec struct {
 	Field string `json:"field"` // sdrbench key, e.g. "CESM/CLOUD"
 	Codec string `json:"codec"` // numfmt name, e.g. "posit32"
@@ -36,6 +36,27 @@ type Shard struct {
 func (s Shard) ID() string {
 	field := strings.NewReplacer("/", "_", " ", "_").Replace(s.Field)
 	return fmt.Sprintf("%s.%s.b%02d-%02d", field, s.Codec, s.BitLo, s.BitHi)
+}
+
+// CheckTrials reports whether trials have the shape a local run of
+// the shard produces: (BitHi−BitLo)×trialsPerBit trials in bit-major
+// order, trial i carrying the shard's Field and Codec, Bit ==
+// BitLo + i/trialsPerBit and Seq == i%trialsPerBit. The runner checks
+// every Execute result with it, so a remote answer with the wrong rows
+// is a failed attempt, never a stored result.
+func (s Shard) CheckTrials(trials []core.Trial, trialsPerBit int) error {
+	if want := (s.BitHi - s.BitLo) * trialsPerBit; len(trials) != want {
+		return fmt.Errorf("got %d trials, want %d", len(trials), want)
+	}
+	for i := range trials {
+		tr := &trials[i]
+		bit, seq := s.BitLo+i/trialsPerBit, i%trialsPerBit
+		if tr.Field != s.Field || tr.Codec != s.Codec || tr.Bit != bit || tr.Seq != seq {
+			return fmt.Errorf("trial %d is (%s, %s, bit %d, seq %d), want (%s, %s, bit %d, seq %d)",
+				i, tr.Field, tr.Codec, tr.Bit, tr.Seq, s.Field, s.Codec, bit, seq)
+		}
+	}
+	return nil
 }
 
 // shardsFor splits a spec's bit space [0, width) into consecutive

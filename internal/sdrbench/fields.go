@@ -27,15 +27,6 @@ type Field struct {
 // Key returns the canonical "Dataset/Name" identifier.
 func (f Field) Key() string { return f.Dataset + "/" + f.Name }
 
-// FullLen returns the element count of the original field.
-func (f Field) FullLen() int {
-	n := 1
-	for _, d := range f.Dims {
-		n *= d
-	}
-	return n
-}
-
 // Generate synthesizes n float32 elements deterministically from the
 // seed. The same (field, seed, n) always yields the same data, at any
 // time, on any platform.
@@ -289,17 +280,4 @@ func Lookup(key string) (Field, error) {
 	}
 	sort.Strings(known)
 	return Field{}, fmt.Errorf("sdrbench: unknown field %q (known: %s)", key, strings.Join(known, ", "))
-}
-
-// Datasets returns the distinct dataset names in Table 1 order.
-func Datasets() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range fields {
-		if !seen[f.Dataset] {
-			seen[f.Dataset] = true
-			out = append(out, f.Dataset)
-		}
-	}
-	return out
 }

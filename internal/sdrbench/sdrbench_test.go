@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -19,28 +20,30 @@ func TestFieldRegistry(t *testing.T) {
 	if len(fs) != 16 {
 		t.Fatalf("expected 16 fields (Table 1), got %d", len(fs))
 	}
-	if got := len(Datasets()); got != 5 {
-		t.Errorf("expected 5 datasets, got %d", got)
-	}
 	seen := map[string]bool{}
+	datasets := map[string]bool{}
 	for _, f := range fs {
 		if seen[f.Key()] {
 			t.Errorf("duplicate field key %s", f.Key())
 		}
 		seen[f.Key()] = true
-		if f.FullLen() <= 0 {
-			t.Errorf("%s: bad FullLen", f.Key())
+		datasets[f.Dataset] = true
+		if len(f.Dims) == 0 {
+			t.Errorf("%s: no dimensions", f.Key())
 		}
 	}
-	// Spot-check the original sizes against the paper.
-	if f, _ := Lookup("CESM/OMEGA"); f.FullLen() != 26*1800*3600 {
-		t.Error("CESM/OMEGA dimensions wrong")
+	if len(datasets) != 5 {
+		t.Errorf("expected 5 datasets, got %d", len(datasets))
 	}
-	if f, _ := Lookup("HACC/vx"); f.FullLen() != 280953867 {
-		t.Error("HACC/vx length wrong")
-	}
-	if f, _ := Lookup("Nyx/temperature"); f.FullLen() != 512*512*512 {
-		t.Error("Nyx/temperature dimensions wrong")
+	// Spot-check the original dimensions against the paper.
+	for key, want := range map[string][]int{
+		"CESM/OMEGA":      {26, 1800, 3600},
+		"HACC/vx":         {280953867},
+		"Nyx/temperature": {512, 512, 512},
+	} {
+		if f, _ := Lookup(key); !reflect.DeepEqual(f.Dims, want) {
+			t.Errorf("%s dimensions %v, want %v", key, f.Dims, want)
+		}
 	}
 	if _, err := Lookup("nope/nothing"); err == nil {
 		t.Error("Lookup of unknown field should fail")

@@ -95,17 +95,14 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // requests (GETs, worker registration, inject queries) on transport
 // errors and 5xx answers, and retries 429 rejections for any method —
 // a queue_full submission creates no job, so resubmitting cannot
-// duplicate work — honoring the server's Retry-After. RunShard is
-// deliberately not retried here: the runner's watchdog-and-backoff
+// duplicate work — honoring the server's Retry-After. RunShardStats
+// is deliberately not retried here: the runner's watchdog-and-backoff
 // loop owns shard retries, and double-retrying would stack budgets.
 func (c *Client) WithRetry(p RetryPolicy) *Client {
 	cp := *c
 	cp.retry = p
 	return &cp
 }
-
-// BaseURL returns the server address the client targets.
-func (c *Client) BaseURL() string { return c.base }
 
 // attempts returns the per-request attempt budget.
 func (c *Client) attempts() int {
@@ -314,10 +311,8 @@ func (c *Client) resultOnce(ctx context.Context, path string, w io.Writer) (int6
 // summary (GET /v1/campaigns/{id}/results with Accept:
 // application/json) as a validated positres-aggregate/v1 document.
 // The transfer is O(bits) regardless of campaign size — the server
-// answers from the store footer, never rescanning trials. A campaign
-// published by a pre-store server has no aggregates; the server
-// answers 409 not_ready and that surfaces here as an *APIError.
-// Retries follow the client's policy, like any GET.
+// answers from the store footer, never rescanning trials. Retries
+// follow the client's policy, like any GET.
 func (c *Client) FetchAggregate(ctx context.Context, id, field, format string) (*store.AggregateDoc, error) {
 	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
 	attempts := c.attempts()
@@ -376,14 +371,6 @@ type ShardWireStats struct {
 	Binary bool
 	// BodyBytes is the response body size in bytes.
 	BodyBytes int64
-}
-
-// RunShard executes one shard on a worker (POST /v1/shards). It is
-// RunShardStats without the transport telemetry — the form external
-// callers (the positres facade) use.
-func (c *Client) RunShard(ctx context.Context, req ShardRequest) ([]core.Trial, error) {
-	trials, _, err := c.RunShardStats(ctx, req)
-	return trials, err
 }
 
 // RunShardStats executes one shard on a worker (POST /v1/shards) and

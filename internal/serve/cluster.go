@@ -168,6 +168,11 @@ func (d *dispatcher) dispatch(ctx context.Context, cs *spec.CampaignSpec, sh run
 	single.Fields = []string{sh.Field}
 	single.Formats = []string{sh.Codec}
 	trials, wireStats, err := w.client.RunShardStats(ctx, ShardRequest{Spec: single, BitLo: sh.BitLo, BitHi: sh.BitHi})
+	if err == nil {
+		// A well-formed answer with the wrong rows is this worker's
+		// failure too, so the retry moves the shard elsewhere.
+		err = sh.CheckTrials(trials, cs.TrialsPerBit)
+	}
 
 	d.mu.Lock()
 	w.busy--

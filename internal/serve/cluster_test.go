@@ -9,11 +9,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
+	"positres/internal/wire"
 )
 
 // clusterSpec is a multi-pair campaign small enough for tests but
@@ -279,6 +282,73 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	}
 }
 
+// TestShortWorkerReassigned: a worker whose shard answers are valid
+// frames one trial short has every answer refused by the coordinator.
+// The refusals count as that worker's failures, the shards move to the
+// healthy worker, and the CSVs match a single-node run.
+func TestShortWorkerReassigned(t *testing.T) {
+	live := newWorkerFleet(t, 1)
+	_, shortTS := newTestServer(t, Config{})
+	shortURL, err := url.Parse(shortTS.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(shortURL)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.URL.Path != "/v1/shards" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		body, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		trials, _, err := wire.DecodeFrame(body)
+		if err != nil {
+			return err
+		}
+		frame, err := wire.EncodeFrame(trials[:len(trials)-1])
+		if err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(frame))
+		resp.ContentLength = int64(len(frame))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(frame)))
+		resp.Header.Set(headerShardRows, strconv.Itoa(len(trials)-1))
+		return nil
+	}
+	proxyTS := httptest.NewServer(proxy)
+	defer proxyTS.Close()
+
+	coord, coordTS := newTestServer(t, Config{
+		Workers:          append([]string{proxyTS.URL}, live...),
+		CampaignWorkers:  2,
+		ClusterRetryBase: 10 * time.Millisecond,
+	})
+	cs := clusterSpec()
+	st := runCampaign(t, coordTS.URL, cs)
+
+	snap := coord.clusterMetrics.Snapshot()
+	short := snap.Workers[proxyTS.URL]
+	if short.ShardsFailed == 0 || short.ShardsCompleted != 0 {
+		t.Errorf("short worker stats = %+v, want only failed dispatches", short)
+	}
+	if snap.Reassignments == 0 {
+		t.Error("reassignments = 0, want > 0 after refused answers")
+	}
+
+	_, single := newTestServer(t, Config{})
+	want := resultCSVs(t, single.URL, runCampaign(t, single.URL, cs))
+	got := resultCSVs(t, coordTS.URL, st)
+	for key, w := range want {
+		if !bytes.Equal(w, got[key]) {
+			t.Errorf("%s: CSV differs from single-node after refused answers", key)
+		}
+	}
+}
+
 func TestRunShardEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	client := NewClient(ts.URL, nil)
@@ -294,9 +364,9 @@ func TestRunShardEndpoint(t *testing.T) {
 		t.Fatal(verr)
 	}
 	ctx := context.Background()
-	got, err := client.RunShard(ctx, ShardRequest{Spec: *cs, BitLo: 0, BitHi: 8})
+	got, _, err := client.RunShardStats(ctx, ShardRequest{Spec: *cs, BitLo: 0, BitHi: 8})
 	if err != nil {
-		t.Fatalf("RunShard: %v", err)
+		t.Fatalf("RunShardStats: %v", err)
 	}
 
 	// The worker must produce exactly what the local engine produces.

@@ -101,7 +101,7 @@ func (m *moments) merge(o moments) {
 // than over a materialized slice — the columnar store's per-bit
 // aggregates. Because Add is the same serial Welford update that
 // reduceMoments applies below parallelThreshold, a Moments fed values
-// in slice order reproduces Mean/Min/Max/Std bit-for-bit for inputs
+// in slice order reproduces Summarize's moments bit-for-bit for inputs
 // under that threshold, and within Chan-merge reassociation error
 // above it. The zero value is NOT ready to use; call NewMoments.
 type Moments struct{ m moments }
@@ -113,27 +113,12 @@ func NewMoments() Moments { return Moments{m: newMoments()} }
 // Summarize's treatment of special values.
 func (a *Moments) Add(x float64) { a.m.add(x) }
 
-// N reports how many finite values have been folded in.
-func (a *Moments) N() int { return a.m.n }
-
 // Mean returns the running arithmetic mean (0 when empty, like the
-// zero moments struct; callers gate on N for the empty case).
+// zero moments struct; callers gate on State().N for the empty case).
 func (a *Moments) Mean() float64 { return a.m.mean }
-
-// Min returns the smallest value seen (+Inf when empty).
-func (a *Moments) Min() float64 { return a.m.min }
 
 // Max returns the largest value seen (-Inf when empty).
 func (a *Moments) Max() float64 { return a.m.max }
-
-// Std returns the running population standard deviation (NaN when
-// empty), matching Std over the same values.
-func (a *Moments) Std() float64 {
-	if a.m.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(a.m.m2 / float64(a.m.n))
-}
 
 // MomentsState is the portable content of a Moments accumulator, for
 // callers that persist aggregates (the columnar store's footer) and
@@ -205,20 +190,8 @@ func reduceMoments(data []float64) moments {
 // Mean returns the arithmetic mean of the finite elements.
 func Mean(data []float64) float64 { return reduceMoments(data).mean }
 
-// Min returns the smallest finite element (+Inf if none).
-func Min(data []float64) float64 { return reduceMoments(data).min }
-
 // Max returns the largest finite element (-Inf if none).
 func Max(data []float64) float64 { return reduceMoments(data).max }
-
-// Std returns the population standard deviation of the finite elements.
-func Std(data []float64) float64 {
-	m := reduceMoments(data)
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(m.m2 / float64(m.n))
-}
 
 // Median returns the exact median of the finite elements, using
 // quickselect (expected O(n), no full sort).
@@ -316,40 +289,6 @@ func partition3(data []float64, lo, hi int) (int, int) {
 		}
 	}
 	return lt, gt
-}
-
-// Histogram counts elements into nb equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64 // bin range; elements outside land in Under/Over
-	Counts   []int   // per-bin tallies, len = requested bin count
-	// Under and Over count elements outside [Min, Max]; Special counts
-	// NaN/Inf elements.
-	Under, Over, Special int
-}
-
-// NewHistogram builds a histogram of data with nb bins over [min,max].
-func NewHistogram(data []float64, min, max float64, nb int) *Histogram {
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, nb)}
-	width := (max - min) / float64(nb)
-	for _, x := range data {
-		switch {
-		case math.IsNaN(x) || math.IsInf(x, 0):
-			h.Special++
-		case x < min:
-			h.Under++
-		case x > max:
-			h.Over++
-		default:
-			// x == max lands at index nb; clamp it into the top bin
-			// (this also absorbs any rounding in (x-min)/width).
-			idx := int((x - min) / width)
-			if idx >= nb {
-				idx = nb - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h
 }
 
 // BoxStats holds the five-number summary used by the paper's box plot

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -73,11 +74,14 @@ func TestDocExampleStore(t *testing.T) {
 		t.Fatalf("Open read (%q, %q, %d rows), want (demo/field, posit8, 1)",
 			rd.Field(), rd.Codec(), rd.Rows())
 	}
-	trials, err := rd.Trials()
-	if err != nil {
-		t.Fatalf("Trials: %v", err)
+	var csv, wantCSV bytes.Buffer
+	if err := rd.RenderCSV(&csv); err != nil {
+		t.Fatalf("RenderCSV: %v", err)
 	}
-	if len(trials) != 1 || trials[0] != docExampleTrial {
-		t.Fatalf("decoded trials = %+v, want the doc example trial", trials)
+	if err := core.WriteTrialsCSV(&wantCSV, []core.Trial{docExampleTrial}); err != nil {
+		t.Fatal(err)
+	}
+	if csv.String() != wantCSV.String() {
+		t.Fatalf("rendered CSV:\n%s\nwant the doc example trial:\n%s", csv.String(), wantCSV.String())
 	}
 }

@@ -207,8 +207,8 @@ func FuzzRecoverPending(f *testing.F) {
 		if err != nil {
 			t.Fatalf("resume: %v", err)
 		}
-		if w.Rows() != rows {
-			t.Fatalf("writer holds %d rows, keep saw %d", w.Rows(), rows)
+		if got := w.Doc().Trials; got != rows {
+			t.Fatalf("writer holds %d rows, keep saw %d", got, rows)
 		}
 		if err := w.Seal(); err != nil {
 			t.Fatalf("seal after recovery: %v", err)

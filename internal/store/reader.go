@@ -310,22 +310,6 @@ func (r *Reader) RenderCSV(w io.Writer) error {
 	return nil
 }
 
-// Trials materializes every row in assembly order — the convenience
-// path for offline tooling on modest stores; campaign-scale callers
-// should stream with RenderCSV or read aggregates instead.
-func (r *Reader) Trials() ([]core.Trial, error) {
-	trials := make([]core.Trial, 0, r.fd.rows)
-	var raw []byte
-	var err error
-	for _, b := range r.bitOrder() {
-		raw, trials, err = r.readBlock(b, raw, trials)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return trials, nil
-}
-
 // Verify decodes every block, checking each CRC and every structural
 // invariant — the deep-scan behind positstore's verify command. The
 // footer was already verified at Open.

@@ -222,8 +222,8 @@ func TestResumeDropsDuplicateAndUnplannedBlocks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.pts")
 	pendingStore(t, path, []testShard{shards[0], shards[1], shards[0], shards[2]})
 	w, kept := resumeAll(t, path)
-	if len(kept) != 2 || w.Rows() != uint64(len(shards[0].trials)+len(shards[1].trials)) {
-		t.Fatalf("duplicate: kept %v (%d rows), want the first two blocks", kept, w.Rows())
+	if rows := w.Doc().Trials; len(kept) != 2 || rows != uint64(len(shards[0].trials)+len(shards[1].trials)) {
+		t.Fatalf("duplicate: kept %v (%d rows), want the first two blocks", kept, rows)
 	}
 	appendAll(t, w, shards[2:])
 	if err := w.Close(); err != nil {
@@ -235,7 +235,7 @@ func TestResumeDropsDuplicateAndUnplannedBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if w.Rows() != uint64(len(shards[0].trials)) || len(w.blocks) != 1 {
+	if w.Doc().Trials != uint64(len(shards[0].trials)) || len(w.blocks) != 1 {
 		t.Fatalf("unplanned: kept %d blocks, want 1", len(w.blocks))
 	}
 }
@@ -254,8 +254,8 @@ func TestResumeForeignHeaderStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if w.Rows() != 0 || fileSize(t, atomicio.PendingPath(path)) != int64(len(w.header())) {
-		t.Fatalf("foreign store not reset: %d rows", w.Rows())
+	if rows := w.Doc().Trials; rows != 0 || fileSize(t, atomicio.PendingPath(path)) != int64(len(w.header())) {
+		t.Fatalf("foreign store not reset: %d rows", rows)
 	}
 }
 

@@ -29,14 +29,12 @@ var lnGamma = math.Log(sketchGamma)
 // collapses.
 const maxSketchBuckets = 4096
 
-// Sketch is a mergeable quantile sketch over float64 values with
-// relative accuracy SketchAlpha (DDSketch-style log-bucketed
-// histogram). Zeros are counted exactly; negative values mirror into
-// their own bucket store; NaN and ±Inf are skipped, matching
-// stats.Quantile's finite-only population. Merge is bucket-wise
-// addition, so sketch(a∪b) and merge(sketch(a), sketch(b)) are
-// identical as long as neither side has collapsed. The zero value is
-// not ready to use; call NewSketch.
+// Sketch is a quantile sketch over float64 values with relative
+// accuracy SketchAlpha (DDSketch-style log-bucketed histogram). Zeros
+// are counted exactly; negative values mirror into their own bucket
+// store; NaN and ±Inf are skipped, matching stats.Quantile's
+// finite-only population. The zero value is not ready to use; call
+// NewSketch.
 type Sketch struct {
 	zero uint64
 	pos  sketchStore
@@ -89,15 +87,6 @@ func (s *Sketch) Add(x float64) {
 
 // Count reports how many finite values the sketch has absorbed.
 func (s *Sketch) Count() uint64 { return s.zero + s.pos.count + s.neg.count }
-
-// Merge folds another sketch into s, as if s had also seen every
-// value o saw. Bucket-wise addition is exact; if either side has
-// collapsed, the merged floor is the higher of the two.
-func (s *Sketch) Merge(o *Sketch) {
-	s.zero += o.zero
-	s.pos.merge(&o.pos)
-	s.neg.merge(&o.neg)
-}
 
 // Quantile returns an approximation of the q-th quantile (q clamped
 // to [0, 1]) of the values seen, NaN when empty. The result carries
@@ -176,35 +165,6 @@ func (st *sketchStore) collapseLowest() {
 	delete(st.buckets, lo)
 	st.floor = next
 	st.hasFloor = true
-}
-
-// raiseFloor collapses every bucket below f into f.
-func (st *sketchStore) raiseFloor(f int) {
-	if st.hasFloor && st.floor >= f {
-		return
-	}
-	var moved uint64
-	for k, c := range st.buckets {
-		if k < f {
-			moved += c
-			delete(st.buckets, k)
-		}
-	}
-	if moved > 0 {
-		st.buckets[f] += moved
-	}
-	st.floor = f
-	st.hasFloor = true
-}
-
-// merge folds another store in bucket-wise.
-func (st *sketchStore) merge(o *sketchStore) {
-	if o.hasFloor {
-		st.raiseFloor(o.floor)
-	}
-	for _, k := range o.sortedKeys() { // fixed order: deterministic collapse
-		st.add(k, o.buckets[k])
-	}
 }
 
 // sortedKeys returns the store's bucket keys in ascending order.

@@ -74,54 +74,6 @@ func TestSketchErrorBounds(t *testing.T) {
 	}
 }
 
-// TestSketchMergeEquivalence pins mergeability: merge(sketch(a),
-// sketch(b)) must equal sketch(a∪b) bucket for bucket when nothing has
-// collapsed, so quantiles are bit-identical — the property that makes
-// per-shard aggregation order-independent.
-func TestSketchMergeEquivalence(t *testing.T) {
-	for name, data := range adversarialSets() {
-		whole := NewSketch()
-		left, right := NewSketch(), NewSketch()
-		for i, x := range data {
-			whole.Add(x)
-			if i%3 == 0 {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(right)
-		if left.Count() != whole.Count() {
-			t.Fatalf("%s: merged count %d, want %d", name, left.Count(), whole.Count())
-		}
-		if left.zero != whole.zero {
-			t.Fatalf("%s: merged zero count %d, want %d", name, left.zero, whole.zero)
-		}
-		sameBuckets(t, name+"/pos", &left.pos, &whole.pos)
-		sameBuckets(t, name+"/neg", &left.neg, &whole.neg)
-		for _, q := range sketchQuantileGrid {
-			g, w := left.Quantile(q), whole.Quantile(q)
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("%s q=%v: merged %v, whole %v", name, q, g, w)
-			}
-		}
-	}
-}
-
-// sameBuckets asserts two stores carry identical bucket maps.
-func sameBuckets(t *testing.T, what string, a, b *sketchStore) {
-	t.Helper()
-	if a.count != b.count || len(a.buckets) != len(b.buckets) {
-		t.Fatalf("%s: count %d over %d buckets, want count %d over %d buckets",
-			what, a.count, len(a.buckets), b.count, len(b.buckets))
-	}
-	for k, c := range b.buckets {
-		if a.buckets[k] != c {
-			t.Fatalf("%s: bucket %d = %d, want %d", what, k, a.buckets[k], c)
-		}
-	}
-}
-
 // TestSketchSerializationRoundTrip pins the footer encoding: a decoded
 // sketch answers every probe bit-identically to the original.
 func TestSketchSerializationRoundTrip(t *testing.T) {

@@ -5,7 +5,7 @@
 // bit patterns for the value columns, reusing internal/wire's
 // conventions), followed by a CRC-guarded footer that indexes the
 // blocks and carries the campaign's online aggregates: count, mean,
-// max and a mergeable quantile sketch per (field, bit), folded in at
+// max and a quantile sketch per (field, bit), folded in at
 // append time so a summary is O(fields×bits) regardless of trial
 // count. docs/STORE.md is the normative format specification.
 //

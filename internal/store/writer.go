@@ -223,19 +223,6 @@ func (w *Writer) record(b blockInfo, trials []core.Trial) {
 	w.rows += uint64(len(trials))
 }
 
-// Field returns the dataset field key the store holds.
-func (w *Writer) Field() string { return w.field }
-
-// Codec returns the number format the store holds.
-func (w *Writer) Codec() string { return w.codec }
-
-// Rows returns the trial rows appended so far.
-func (w *Writer) Rows() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rows
-}
-
 // AppendShard encodes one shard's trials as a columnar block, writes
 // and fsyncs it, and folds the trials into the per-bit aggregates; it
 // returns only once the block is durable. Every trial must carry the
@@ -371,14 +358,6 @@ func appendFloatColumn(dst []byte, trials []core.Trial, get func(*core.Trial) fl
 		dst = append(dst, fixed[:]...)
 	}
 	return dst
-}
-
-// BitAggs snapshots the live per-bit aggregates, sorted by bit — the
-// mid-campaign view /metrics serves. O(bits), never rescans trials.
-func (w *Writer) BitAggs() []core.BitAgg {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return finalizeBits(w.bits)
 }
 
 // Doc snapshots the live aggregates as an unsealed aggregate

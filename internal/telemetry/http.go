@@ -6,7 +6,6 @@ package telemetry
 // serving layer does not need to pre-declare its route table here.
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -87,8 +86,7 @@ type EndpointSnapshot struct {
 // HTTPSnapshot is the JSON view of an HTTPMetrics set.
 type HTTPSnapshot struct {
 	// Endpoints is keyed by endpoint name ("METHOD /path"); it is
-	// empty but non-nil when nothing has been observed. Map iteration
-	// order is unspecified — EndpointNames is sorted for stable output.
+	// empty but non-nil when nothing has been observed.
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
 }
 
@@ -110,19 +108,4 @@ func (h *HTTPMetrics) Snapshot() HTTPSnapshot {
 		}
 	}
 	return s
-}
-
-// EndpointNames returns the registered endpoint names, sorted.
-func (h *HTTPMetrics) EndpointNames() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	names := make([]string, 0, len(h.endpoints))
-	for n := range h.endpoints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

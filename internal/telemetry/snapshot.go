@@ -2,11 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
-
-	"positres/internal/artifact"
 )
 
 // SnapshotSchema versions the JSON layout written by WriteSnapshot
@@ -96,19 +93,4 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.Snapshot())
-}
-
-// ReadSnapshot parses a snapshot written by WriteSnapshot (or scraped
-// from the expvar endpoint), verifying the schema tag so trajectory
-// tooling never silently charts a document from a different layout
-// generation.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("telemetry: decode snapshot: %w", err)
-	}
-	if err := artifact.CheckSchema(s.Schema, SnapshotSchema); err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	return &s, nil
 }

@@ -5,8 +5,8 @@
 // paths (a handful of atomic adds per bit position or shard — never
 // per trial), cmd/positcampaign exposes them through expvar, an
 // opt-in pprof HTTP endpoint, and a schema-versioned JSON snapshot,
-// and cmd/positbench records them into the BENCH_*.json perf
-// trajectory. All methods are safe for concurrent use and nil-safe on
+// and the benchmark harness (perfbench/) reads them per layer. All
+// methods are safe for concurrent use and nil-safe on
 // *Metrics, so instrumented code paths need no "is telemetry on"
 // branches beyond carrying the pointer.
 package telemetry

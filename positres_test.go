@@ -178,8 +178,8 @@ func TestFacadeDurableCampaign(t *testing.T) {
 	// The service client constructs (no server needed for the type
 	// surface check).
 	var client *positres.ServeClient = positres.NewServeClient("http://127.0.0.1:1", nil)
-	if client.BaseURL() != "http://127.0.0.1:1" {
-		t.Fatalf("BaseURL = %q", client.BaseURL())
+	if client == nil {
+		t.Fatal("NewServeClient returned nil")
 	}
 	var apiErr *positres.ServeAPIError = &positres.ServeAPIError{Status: 429, Code: "queue_full", Message: "x"}
 	if !strings.Contains(apiErr.Error(), "queue_full") {

@@ -3,9 +3,8 @@
 #
 # Runs every gate in order and fails fast: formatting, vet, build,
 # the dead-code gate (scripts/deadcode.sh), positlint (including a
-# self-test that the linter still fires on its fixtures), the
-# positbench smoke (archived as artifacts/BENCH_PR10.json, with an
-# informational trajectory print against the committed baseline), the
+# self-test that the linter still fires on its fixtures), a one-iteration
+# pass over every go benchmark, the perfbench module's own tests, the
 # wire and store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
 # store-rendered CSV must hash identically to the direct encoder), the
@@ -74,29 +73,11 @@ for rule in quireguard csvheader budgetscale errcode; do
 done
 echo "fixtures trip as expected"
 
-banner "positbench smoke: benchmark driver runs and emits a valid baseline"
-mkdir -p artifacts
-bench_compare=""
-if [ -f BENCH_PR9.json ]; then
-	# Informational trajectory print against the committed previous
-	# baseline; perf gating stays human judgement (docs/PERF.md).
-	bench_compare="-compare BENCH_PR9.json"
-fi
-# shellcheck disable=SC2086 # bench_compare is intentionally word-split
-$GO run ./cmd/positbench -smoke -out artifacts/BENCH_PR10.json $bench_compare
-grep -q '"schema": "positres-bench/v1"' artifacts/BENCH_PR10.json || {
-	echo "positbench baseline missing schema tag"
-	exit 1
-}
-grep -q '"name": "wire_encode_shard"' artifacts/BENCH_PR10.json || {
-	echo "positbench baseline missing the wire codec benches"
-	exit 1
-}
-grep -q '"name": "store_append_shard"' artifacts/BENCH_PR10.json || {
-	echo "positbench baseline missing the columnar store benches"
-	exit 1
-}
-echo "ok (archived as artifacts/BENCH_PR10.json)"
+banner "go benchmark smoke: every Benchmark* runs one iteration"
+$GO test -run '^$' -bench . -benchtime 1x ./...
+
+banner "perfbench tests: the end-to-end benchmark still builds against the internal APIs"
+(cd perfbench && $GO test ./...)
 
 banner "wire fuzz smoke: 5s over the binary frame decoder"
 $GO test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
