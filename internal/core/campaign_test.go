@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -544,5 +546,37 @@ func TestRunRangeSerialZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("serial RunRangeInto allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// TestRunRangeLeavesDataUnchanged: the engine only reads its dataset.
+// Datasets are shared read-only between concurrent shards (the runner's
+// and the worker's sdrbench.DatasetCache), so a write here would leak
+// into every other shard of the field.
+func TestRunRangeLeavesDataUnchanged(t *testing.T) {
+	digest := func(data []float64) [sha256.Size]byte {
+		b := make([]byte, 8*len(data))
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return sha256.Sum256(b)
+	}
+	// CLOUDf48 is mostly exact zeros, so the zero-rejection loop runs.
+	for _, key := range []string{"Hurricane/CLOUDf48", "Nyx/temperature"} {
+		data := testData(t, key, 5000)
+		before := digest(data)
+		for _, workers := range []int{1, 4} {
+			for _, name := range []string{"posit32", "ieee32"} {
+				codec := mustCodec(t, name)
+				cfg := smallCfg()
+				cfg.Workers = workers
+				if _, err := RunRangeInto(context.Background(), cfg, codec, key, data, 0, codec.Width(), nil); err != nil {
+					t.Fatal(err)
+				}
+				if digest(data) != before {
+					t.Fatalf("%s %s workers=%d: RunRangeInto modified the dataset", key, name, workers)
+				}
+			}
+		}
 	}
 }

@@ -385,8 +385,12 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 	}
 
 	// Shard worker pool. Slots are written by index (disjoint); the
-	// mutex serializes sink delivery and the OnShardDone callback only.
-	cache := newDataCache(c.fields, specs)
+	// mutex serializes sink delivery, the OnShardDone callback and the
+	// per-spec baselines. Shards of one spec share one dataset, and
+	// the field-major shard order keeps it resident across the spec's
+	// codecs too.
+	var cache sdrbench.DatasetCache
+	baselines := make([]*stats.Summary, len(specs))
 	var mu sync.Mutex
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -401,27 +405,27 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 				busyStart := time.Now()
 				sh := shards[i]
 				si := specIndex(specs, sh.Spec)
-				data, err := cache.get(sh.Spec)
-				if err != nil {
-					slots[i].status.State = ShardFailed
-					slots[i].status.Error = err.Error()
-				} else {
-					trials, status := runShard(ctx, cfg, c.codecs[si], sh, data)
-					if status.State == ShardDone {
-						if aerr := c.st.append(si, sh, trials); aerr != nil {
-							// A shard whose durability write failed is a
-							// failed shard: reporting it done would let a
-							// resume silently lose it.
-							status.State = ShardFailed
-							status.Error = aerr.Error()
-							trials = nil
-						}
+				ds := cache.Acquire(c.fields[si], sh.N, sh.Seed)
+				trials, status := runShard(ctx, cfg, c.codecs[si], sh, ds.Data)
+				cache.Release(ds)
+				if status.State == ShardDone {
+					if aerr := c.st.append(si, sh, trials); aerr != nil {
+						// A shard whose durability write failed is a
+						// failed shard: reporting it done would let a
+						// resume silently lose it.
+						status.State = ShardFailed
+						status.Error = aerr.Error()
+						trials = nil
 					}
-					slots[i].status = status
-					slots[i].trials = trials
 				}
+				slots[i].status = status
+				slots[i].trials = trials
 				cfg.Metrics.AddWorkerBusy(time.Since(busyStart))
 				mu.Lock()
+				if baselines[si] == nil {
+					b := ds.Summary // a copy: a pointer into ds would keep its data alive
+					baselines[si] = &b
+				}
 				if cfg.Sink != nil && slots[i].status.State == ShardDone {
 					// The store already holds the shard, so a sink
 					// failure only fails it here and a Resume run
@@ -512,15 +516,17 @@ feed:
 			}
 			elapsed += p.status.Duration()
 		}
-		data, err := cache.get(sp)
-		if err != nil {
-			return nil, err // cache already generated it during the run; only a fresh resume can hit this
+		if baselines[si] == nil { // every shard resumed: no shard acquired the dataset
+			ds := cache.Acquire(c.fields[si], sp.N, sp.Seed)
+			b := ds.Summary
+			baselines[si] = &b
+			cache.Release(ds)
 		}
 		rep.Results[si] = &core.Result{
 			Field:    sp.Field,
 			Codec:    sp.Codec,
-			N:        len(data),
-			Baseline: stats.Summarize(data),
+			N:        sp.N,
+			Baseline: *baselines[si],
 			Trials:   trials,
 			Elapsed:  elapsed,
 		}
@@ -678,35 +684,4 @@ func attemptShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard
 	case <-actx.Done():
 		return nil, true, fmt.Errorf("runner: shard %s attempt %d: watchdog: %w", sh.ID(), attempt, actx.Err())
 	}
-}
-
-// dataCache generates each spec's dataset once and shares the
-// read-only slice across its shards.
-type dataCache struct {
-	mu     sync.Mutex
-	fields map[string]sdrbench.Field
-	m      map[Spec][]float64
-}
-
-func newDataCache(fields []sdrbench.Field, specs []Spec) *dataCache {
-	c := &dataCache{fields: map[string]sdrbench.Field{}, m: map[Spec][]float64{}}
-	for i, sp := range specs {
-		c.fields[sp.Field] = fields[i]
-	}
-	return c
-}
-
-func (c *dataCache) get(sp Spec) ([]float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.m[sp]; ok {
-		return d, nil
-	}
-	f, ok := c.fields[sp.Field]
-	if !ok {
-		return nil, fmt.Errorf("runner: no field %s in cache", sp.Field)
-	}
-	d := sdrbench.ToFloat64(f.Generate(sp.N, sp.Seed))
-	c.m[sp] = d
-	return d, nil
 }

@@ -15,6 +15,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
+	"positres/internal/stats"
 	"positres/internal/store"
 	"positres/internal/telemetry"
 )
@@ -346,9 +347,22 @@ func TestSealedBeforeManifestResumed(t *testing.T) {
 	if !rep.Complete() || rep.Completed != 0 || rep.Resumed != testShardTotal {
 		t.Fatalf("sealed-store resume profile: %+v", rep)
 	}
-	for i := range rep.Specs {
+	for i, sp := range rep.Specs {
 		if !bytes.Equal(renderCSV(t, rep.Results[i]), renderCSV(t, ref.Results[i])) {
-			t.Fatalf("spec %s: CSV differs after sealed-store resume", rep.Specs[i].Key())
+			t.Fatalf("spec %s: CSV differs after sealed-store resume", sp.Key())
+		}
+		// The fresh run summarizes the dataset its shards acquired; the
+		// fully resumed one, which ran no shard, acquires it at assembly.
+		// Both must report the dataset's own N and summary.
+		f, err := sdrbench.Lookup(sp.Field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stats.Summarize(sdrbench.ToFloat64(f.Generate(sp.N, sp.Seed)))
+		for _, res := range []*core.Result{ref.Results[i], rep.Results[i]} {
+			if res.N != sp.N || res.Baseline != want {
+				t.Fatalf("spec %s: N=%d baseline %+v, want N=%d baseline %+v", sp.Key(), res.N, res.Baseline, sp.N, want)
+			}
 		}
 	}
 	for p, want := range sealed {

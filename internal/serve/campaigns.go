@@ -22,6 +22,7 @@ import (
 
 	"positres/internal/spec"
 	"positres/internal/store"
+	"positres/internal/wire"
 )
 
 // CampaignStatus is the body of GET /v1/campaigns/{id} (and of the
@@ -138,27 +139,9 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 // every pre-negotiation client sees byte-identical responses. A
 // range with q=0 is a refusal, not a request, and is skipped.
 func acceptsAggregate(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		params := strings.Split(part, ";")
-		mt := strings.TrimSpace(params[0])
-		if (mt == "application/json" || strings.HasSuffix(mt, "+json")) && !refused(params[1:]) {
-			return true
-		}
-	}
-	return false
-}
-
-// refused reports whether a media range's parameters carry q=0.
-func refused(params []string) bool {
-	for _, p := range params {
-		name, value, ok := strings.Cut(strings.TrimSpace(p), "=")
-		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
-			continue
-		}
-		q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-		return err == nil && q == 0
-	}
-	return false
+	return wire.AcceptsMedia(accept, func(mt string) bool {
+		return mt == "application/json" || strings.HasSuffix(mt, "+json")
+	})
 }
 
 // handleCampaignResults serves GET /v1/campaigns/{id}/results —

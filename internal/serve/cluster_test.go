@@ -153,6 +153,38 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 }
 
+// TestWorkerDatasetCache: a worker generates each field's dataset
+// once per campaign. 2 fields × 2 formats at 4 shards per pair is 16
+// shards over 2 datasets, so the worker's /metrics must report 2
+// generations and 14 hits. One campaign worker on the coordinator
+// dispatches shards in spec order, so the count is exact.
+func TestWorkerDatasetCache(t *testing.T) {
+	cs := &spec.CampaignSpec{
+		Fields:       []string{"CESM/CLOUD", "HACC/vx"},
+		Formats:      []string{"posit32", "ieee32"},
+		N:            256,
+		TrialsPerBit: 2,
+		Seed:         7,
+		BitsPerShard: 8,
+	}
+	workers := newWorkerFleet(t, 1)
+	_, coordTS := newTestServer(t, Config{Workers: workers, CampaignWorkers: 1})
+	runCampaign(t, coordTS.URL, cs)
+
+	var m struct {
+		Datasets sdrbench.CacheStats `json:"datasets"`
+	}
+	getJSON(t, workers[0]+"/metrics", &m)
+	if m.Datasets.Generated != 2 || m.Datasets.Hits != 14 {
+		t.Errorf("worker datasets = %+v, want generated 2 and hits 14", m.Datasets)
+	}
+	// Nothing is held after the campaign: only the last released
+	// dataset stays resident.
+	if m.Datasets.Resident != 1 || m.Datasets.ResidentBytes != int64(cs.N)*8 {
+		t.Errorf("worker datasets = %+v, want 1 resident dataset of %d bytes", m.Datasets, cs.N*8)
+	}
+}
+
 // TestMixedFleetEquivalence pins the wire format's compatibility
 // story: a fleet where one worker speaks the packed binary trial
 // encoding and another only CSV (simulated by a proxy that strips the

@@ -11,7 +11,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -218,6 +220,38 @@ func TestRunShardForwardsDeadline(t *testing.T) {
 	}
 	if ms := gotMS.Load(); ms <= 0 || ms > 30_000 {
 		t.Errorf("worker saw deadline %dms, want in (0, 30000]", ms)
+	}
+}
+
+// TestRunShardHugeDeadline: a deadline header too large for
+// time.Duration is clamped, not overflowed into an already-expired
+// timeout, so the shard still computes and returns 200.
+func TestRunShardHugeDeadline(t *testing.T) {
+	_, worker := newTestServer(t, Config{})
+	body, err := json.Marshal(shardReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range []string{"9223372036855", strconv.FormatInt(math.MaxInt64, 10)} {
+		req, err := http.NewRequest(http.MethodPost, worker.URL+"/v1/shards", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(headerShardDeadline, ms)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); cerr != nil {
+			t.Log(cerr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("deadline %sms: status %d, body %s", ms, resp.StatusCode, out)
+		}
 	}
 }
 

@@ -4,11 +4,12 @@ package serve
 // positres-telemetry/v1 snapshot (the same schema cmd/positcampaign
 // writes with -telemetry-out, so existing tooling parses it
 // unchanged), per-endpoint HTTP counters and latency histograms, job
-// tallies by state, and inject-cache occupancy.
+// tallies by state, and inject-cache and dataset-cache occupancy.
 
 import (
 	"net/http"
 
+	"positres/internal/sdrbench"
 	"positres/internal/store"
 	"positres/internal/telemetry"
 )
@@ -36,6 +37,9 @@ type metricsResponse struct {
 	Jobs map[string]int `json:"jobs"`
 	// InjectCache reports /v1/inject LRU occupancy and hit rates.
 	InjectCache cacheStats `json:"inject_cache"`
+	// Datasets reports the worker-side dataset cache behind
+	// POST /v1/shards: generations, hits and what stays resident.
+	Datasets sdrbench.CacheStats `json:"datasets"`
 	// Backpressure reports campaign-queue occupancy, the 429 rejection
 	// count, and the Retry-After the next rejection would carry.
 	Backpressure backpressure `json:"backpressure"`
@@ -57,6 +61,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		HTTP:         s.httpMetrics.Snapshot(),
 		Jobs:         s.jobs.tallies(),
 		InjectCache:  s.cache.stats(),
+		Datasets:     s.datasets.Stats(),
 		Backpressure: s.jobs.pressure(),
 	}
 	if s.cluster.size() > 0 {

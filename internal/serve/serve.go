@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"positres/internal/sdrbench"
 	"positres/internal/telemetry"
 )
 
@@ -117,6 +118,7 @@ type Server struct {
 	httpMetrics    *telemetry.HTTPMetrics
 	clusterMetrics *telemetry.ClusterMetrics
 	cache          *injectCache
+	datasets       sdrbench.DatasetCache // worker side: POST /v1/shards
 	jobs           *jobStore
 	cluster        *dispatcher
 	handler        http.Handler

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -82,11 +83,12 @@ type workerList struct {
 }
 
 // handleRunShard serves POST /v1/shards: validate the single-pair
-// spec, regenerate the field deterministically, compute the bit range
-// through the same core engine a local run uses, and stream the
-// trials as CSV. The response is byte-exact trial data, so the
-// coordinator's store — and therefore the final CSVs — cannot
-// distinguish local from remote computation.
+// spec, take the field's dataset from the server's dataset cache
+// (generated deterministically on first use, so consecutive shards of
+// one field share it), compute the bit range through the same core
+// engine a local run uses, and stream the trials. The response is
+// byte-exact trial data, so the coordinator's store — and therefore
+// the final CSVs — cannot distinguish local from remote computation.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -125,16 +127,20 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	// Honor the coordinator's shard deadline: when the watchdog over
 	// there has D ms left, computing past D here is wasted work — the
 	// coordinator has already failed the attempt and re-dispatched.
+	// A budget too large for time.Duration is clamped rather than
+	// allowed to overflow into a negative, already-expired timeout.
 	ctx := r.Context()
 	if ms, err := strconv.ParseInt(r.Header.Get(headerShardDeadline), 10, 64); err == nil && ms > 0 {
+		ms = min(ms, int64(math.MaxInt64/time.Millisecond))
 		dctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 		ctx = dctx
 	}
 
-	data := sdrbench.ToFloat64(field.Generate(req.Spec.N, req.Spec.Seed))
+	ds := s.datasets.Acquire(field, req.Spec.N, req.Spec.Seed)
 	trials, err := core.RunRange(ctx, core.ConfigFromSpec(&req.Spec),
-		codec, req.Spec.Fields[0], data, req.BitLo, req.BitHi)
+		codec, req.Spec.Fields[0], ds.Data, req.BitLo, req.BitHi)
+	s.datasets.Release(ds)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, "shard computation: %v", err)
 		return

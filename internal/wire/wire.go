@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"positres/internal/core"
@@ -94,15 +95,38 @@ var trialWireHeader = []string{
 }
 
 // Accepts reports whether an Accept header value asks for the binary
-// trial encoding: any comma-separated element whose media type (the
-// part before parameters) is exactly ContentType. Wildcards do not
-// opt in — CSV is the default a generic client gets.
+// trial encoding: an element whose media type is exactly ContentType
+// (see AcceptsMedia). Wildcards do not opt in — CSV is the default a
+// generic client gets.
 func Accepts(header string) bool {
+	return AcceptsMedia(header, func(mediaType string) bool { return mediaType == ContentType })
+}
+
+// AcceptsMedia reports whether any comma-separated element of an
+// Accept header value has a media type (the part before parameters,
+// trimmed) that match accepts and no q=0 parameter, which RFC 9110
+// defines as "not acceptable". The service's content negotiation,
+// binary frames on the shard hop and JSON aggregates on the results
+// endpoint, goes through it.
+func AcceptsMedia(header string, match func(mediaType string) bool) bool {
 	for _, part := range strings.Split(header, ",") {
-		mediaType, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(mediaType) == ContentType {
+		params := strings.Split(part, ";")
+		if match(strings.TrimSpace(params[0])) && !refused(params[1:]) {
 			return true
 		}
+	}
+	return false
+}
+
+// refused reports whether a media range's parameters carry q=0.
+func refused(params []string) bool {
+	for _, p := range params {
+		name, value, ok := strings.Cut(strings.TrimSpace(p), "=")
+		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
+			continue
+		}
+		q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+		return err == nil && q == 0
 	}
 	return false
 }

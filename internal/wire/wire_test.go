@@ -242,6 +242,9 @@ func TestAccepts(t *testing.T) {
 		{"*/*", false},
 		{"application/*", false},
 		{ContentType + "x", false},
+		{ContentType + ";q=0, text/csv", false},
+		{ContentType + "; Q=0.000, text/csv", false},
+		{ContentType + ";q=0, " + ContentType + ";q=0.5", true},
 	}
 	for _, tc := range cases {
 		if got := Accepts(tc.header); got != tc.want {

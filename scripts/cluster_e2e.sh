@@ -40,8 +40,9 @@ $GO build -o "$BIN" ./cmd/positserve
 # Same field/formats as serve_e2e.sh but 2 bits per shard (24 shards:
 # 16/2 + 32/2) and a much larger field/trial budget, so shards take
 # long enough that killing a worker mid-run leaves real work to
-# re-dispatch.
-BODY='{"fields":["CESM/CLOUD"],"formats":["posit16","ieee32"],"n":200000,"trials_per_bit":400,"seed":5,"bits_per_shard":2}'
+# re-dispatch. Workers generate the field once and reuse it across
+# shards, so a shard's time is set by its trials: 2000 per bit.
+BODY='{"fields":["CESM/CLOUD"],"formats":["posit16","ieee32"],"n":200000,"trials_per_bit":2000,"seed":5,"bits_per_shard":2}'
 
 # start_node <data-dir> <log> [extra flags...] — launches positserve on
 # a random port and sets NODE_BASE/NODE_PID.
