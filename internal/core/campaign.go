@@ -109,11 +109,10 @@ type Trial struct {
 
 // Result is a completed campaign over one (field, codec) pair.
 type Result struct {
-	Field    string        // dataset field key the campaign ran over
-	Codec    string        // format name under test
-	N        int           // dataset length
-	Baseline stats.Summary // fault-free round-trip error of the dataset
-	Trials   []Trial       // every injection, in (bit, seq) order
+	Field  string  // dataset field key the campaign ran over
+	Codec  string  // format name under test
+	N      int     // dataset length
+	Trials []Trial // every injection, in (bit, seq) order
 	// Elapsed is the wall-clock cost of this campaign alone (not an
 	// even share of some enclosing sweep), recorded by Run.
 	Elapsed time.Duration
@@ -131,12 +130,11 @@ func Run(ctx context.Context, cfg Config, codec numfmt.Codec, fieldKey string, d
 		return nil, err
 	}
 	return &Result{
-		Field:    fieldKey,
-		Codec:    codec.Name(),
-		N:        len(data),
-		Baseline: stats.Summarize(data),
-		Trials:   trials,
-		Elapsed:  time.Since(start),
+		Field:   fieldKey,
+		Codec:   codec.Name(),
+		N:       len(data),
+		Trials:  trials,
+		Elapsed: time.Since(start),
 	}, nil
 }
 

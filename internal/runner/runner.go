@@ -44,7 +44,6 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
-	"positres/internal/stats"
 	"positres/internal/store"
 	"positres/internal/telemetry"
 )
@@ -96,8 +95,8 @@ type Config struct {
 	OnShardDone func(st ShardStatus)
 	// Sink, when non-nil, receives every completed shard's trials —
 	// fresh and resumed alike — as the campaign runs, and the Report's
-	// Results carry Trials == nil (identity, N, Baseline and Elapsed
-	// stay populated). This is how campaign-scale runs stay in bounded
+	// Results carry Trials == nil (identity, N and Elapsed stay
+	// populated). This is how campaign-scale runs stay in bounded
 	// memory: with Dir set and Sink: Discard the trials live only in
 	// the stores. Appends happen serially, after the shard is durable
 	// in Dir's store, so a sink failure costs the shard, not the
@@ -385,12 +384,11 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 	}
 
 	// Shard worker pool. Slots are written by index (disjoint); the
-	// mutex serializes sink delivery, the OnShardDone callback and the
-	// per-spec baselines. Shards of one spec share one dataset, and
-	// the field-major shard order keeps it resident across the spec's
+	// mutex serializes sink delivery and the OnShardDone callback.
+	// Locally computed shards of one spec share one dataset, and the
+	// field-major shard order keeps it resident across the spec's
 	// codecs too.
 	var cache sdrbench.DatasetCache
-	baselines := make([]*stats.Summary, len(specs))
 	var mu sync.Mutex
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -405,9 +403,7 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 				busyStart := time.Now()
 				sh := shards[i]
 				si := specIndex(specs, sh.Spec)
-				ds := cache.Acquire(c.fields[si], sh.N, sh.Seed)
-				trials, status := runShard(ctx, cfg, c.codecs[si], sh, ds.Data)
-				cache.Release(ds)
+				trials, status := runShard(ctx, cfg, &cache, c.fields[si], c.codecs[si], sh)
 				if status.State == ShardDone {
 					if aerr := c.st.append(si, sh, trials); aerr != nil {
 						// A shard whose durability write failed is a
@@ -422,10 +418,6 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 				slots[i].trials = trials
 				cfg.Metrics.AddWorkerBusy(time.Since(busyStart))
 				mu.Lock()
-				if baselines[si] == nil {
-					b := ds.Summary // a copy: a pointer into ds would keep its data alive
-					baselines[si] = &b
-				}
 				if cfg.Sink != nil && slots[i].status.State == ShardDone {
 					// The store already holds the shard, so a sink
 					// failure only fails it here and a Resume run
@@ -483,7 +475,7 @@ feed:
 
 	// Assemble per-spec results from shard trials, in bit order. With a
 	// Sink the trials already streamed out shard by shard, so the
-	// Result keeps identity, baseline and timing but carries no slab.
+	// Result keeps identity and timing but carries no slab.
 	for si, sp := range specs {
 		var parts []slot
 		complete := true
@@ -516,19 +508,12 @@ feed:
 			}
 			elapsed += p.status.Duration()
 		}
-		if baselines[si] == nil { // every shard resumed: no shard acquired the dataset
-			ds := cache.Acquire(c.fields[si], sp.N, sp.Seed)
-			b := ds.Summary
-			baselines[si] = &b
-			cache.Release(ds)
-		}
 		rep.Results[si] = &core.Result{
-			Field:    sp.Field,
-			Codec:    sp.Codec,
-			N:        sp.N,
-			Baseline: *baselines[si],
-			Trials:   trials,
-			Elapsed:  elapsed,
+			Field:   sp.Field,
+			Codec:   sp.Codec,
+			N:       sp.N,
+			Trials:  trials,
+			Elapsed: elapsed,
 		}
 	}
 
@@ -550,17 +535,23 @@ func specIndex(specs []Spec, sp Spec) int {
 }
 
 // runShard executes one shard with watchdog and bounded retry. For
-// local computation it allocates the shard's trial buffer once and
-// reuses it across retry attempts (core.RunRangeInto fills it in
-// place) — unless an attempt was abandoned by the watchdog, in which
-// case the orphaned goroutine may still be writing into the buffer
-// and the next attempt must start from a fresh one.
-func runShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard, data []float64) ([]core.Trial, ShardStatus) {
+// local computation it holds the shard's dataset from cache and
+// allocates the shard's trial buffer once, reusing it across retry
+// attempts (core.RunRangeInto fills it in place) — unless an attempt
+// was abandoned by the watchdog, in which case the orphaned goroutine
+// may still be writing into the buffer and the next attempt must
+// start from a fresh one. With cfg.Execute set the executor brings
+// its own data, so no dataset is acquired.
+func runShard(ctx context.Context, cfg *Config, cache *sdrbench.DatasetCache, f sdrbench.Field, codec numfmt.Codec, sh Shard) ([]core.Trial, ShardStatus) {
 	st := ShardStatus{Shard: sh, State: ShardFailed}
 	start := time.Now()
 	var lastErr error
+	var data []float64
 	var buf []core.Trial
 	if cfg.Execute == nil {
+		ds := cache.Acquire(f, sh.N, sh.Seed)
+		defer cache.Release(ds)
+		data = ds.Data
 		buf = make([]core.Trial, (sh.BitHi-sh.BitLo)*cfg.campaign.TrialsPerBit)
 	}
 	for attempt := 1; attempt <= cfg.maxRetries+1; attempt++ {

@@ -1,18 +1,12 @@
 package sdrbench
 
-import (
-	"sync"
+import "sync"
 
-	"positres/internal/stats"
-)
-
-// Dataset is one generated field sample, widened to float64, with its
-// summary statistics computed once when the dataset was generated.
+// Dataset is one generated field sample, widened to float64 once.
 // Data is shared by every holder and must be treated as read-only.
 type Dataset struct {
-	Data    []float64     // Generate(n, seed) widened to float64
-	Summary stats.Summary // stats.Summarize(Data)
-	key     datasetKey
+	Data []float64 // Generate(n, seed) widened to float64
+	key  datasetKey
 }
 
 // datasetKey identifies a dataset: Generate is a pure function of
@@ -56,9 +50,9 @@ type CacheStats struct {
 	ResidentBytes int64 `json:"resident_bytes"` // float64 bytes of the resident datasets
 }
 
-// Acquire returns the dataset of (f, n, seed), generating and
-// summarizing it on first use. The caller must Release it when done;
-// until then the dataset stays resident.
+// Acquire returns the dataset of (f, n, seed), generating it on first
+// use. The caller must Release it when done; until then the dataset
+// stays resident.
 func (c *DatasetCache) Acquire(f Field, n int, seed uint64) *Dataset {
 	k := datasetKey{field: f.Key(), n: n, seed: seed}
 	c.mu.Lock()
@@ -80,8 +74,7 @@ func (c *DatasetCache) Acquire(f Field, n int, seed uint64) *Dataset {
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		data := ToFloat64(f.Generate(n, seed))
-		e.ds = &Dataset{Data: data, Summary: stats.Summarize(data), key: k}
+		e.ds = &Dataset{Data: ToFloat64(f.Generate(n, seed)), key: k}
 	})
 	return e.ds
 }
