@@ -98,7 +98,7 @@ load-smoke:
 serve:
 	$(GO) run ./cmd/positserve -data-dir serve-state
 
-# Bounded-memory columnar-store equivalence check (docs/STORE.md): a
+# Bounded-memory store equivalence check (docs/STORE.md): a
 # 10⁷-trial campaign streamed shard-by-shard into a .pts store under a
 # small GOMEMLIMIT, its rendered CSV SHA-256-compared against the
 # direct encoder and its footer aggregates schema-validated.
@@ -120,9 +120,10 @@ report:
 report-paper:
 	$(GO) run ./cmd/positreport -fig all -budget paper
 
-# Brief fuzz pass over the posit substrate invariants, the binary
-# trial wire decoder (docs/WIRE.md) and the .pts store's opener,
-# footer index and pending-store recovery (docs/STORE.md).
+# Brief fuzz pass over the posit substrate invariants, the frame
+# decoder (FuzzDecodeFrame, docs/WIRE.md) behind both shard responses
+# and .pts blocks, and the .pts store's opener, footer index and
+# pending-store recovery (docs/STORE.md).
 fuzz:
 	$(GO) test -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzDecodersAgree -fuzztime 30s ./internal/posit/

@@ -58,7 +58,6 @@ func run() int {
 		jobWorkers      = fs.Int("job-workers", 1, "campaigns run concurrently")
 		campaignWorkers = fs.Int("campaign-workers", 0, "shard workers per campaign (0 = GOMAXPROCS)")
 		requestTimeout  = fs.Duration("request-timeout", 15*time.Second, "deadline for synchronous endpoints")
-		injectCache     = fs.Int("inject-cache", 4096, "inject LRU capacity in (format, pattern, bit) entries")
 		workersFlag     = fs.String("workers", "", "comma-separated worker base URLs to coordinate (campaign shards are dispatched to them)")
 		register        = fs.String("register", "", "coordinator base URL to self-register with as a worker")
 		advertise       = fs.String("advertise", "", "base URL the coordinator should dial this worker at (default http://<addr> once listening)")
@@ -91,7 +90,6 @@ func run() int {
 		JobWorkers:        *jobWorkers,
 		CampaignWorkers:   *campaignWorkers,
 		RequestTimeout:    *requestTimeout,
-		InjectCacheSize:   *injectCache,
 		Metrics:           metrics,
 		Workers:           workers,
 		HeartbeatInterval: *heartbeat,

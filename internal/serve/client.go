@@ -166,14 +166,24 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 			return fmt.Errorf("positserve client: encode %s %s: %w", method, path, err)
 		}
 	}
+	return c.withRetry(ctx, method+" "+path,
+		func(err error) bool { return retryable(err, idempotent) },
+		func() error { return c.doOnce(ctx, method, path, raw, out) })
+}
+
+// withRetry runs once until it succeeds, the client's attempt budget
+// is spent, or again refuses the error, pausing between attempts. It
+// returns once's last error: when ctx dies mid-pause, that error
+// explains more than the context's.
+func (c *Client) withRetry(ctx context.Context, key string, again func(error) bool, once func() error) error {
 	attempts := c.attempts()
 	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, method, path, raw, out)
-		if err == nil || attempt >= attempts || !retryable(err, idempotent) {
+		err := once()
+		if err == nil || attempt >= attempts || !again(err) {
 			return err
 		}
-		if serr := c.pause(ctx, method+" "+path, attempt, err); serr != nil {
-			return err // context died mid-backoff; the last real error explains more
+		if c.pause(ctx, key, attempt, err) != nil {
+			return err
 		}
 	}
 }
@@ -273,16 +283,14 @@ func (c *Client) Inject(ctx context.Context, req InjectRequest) (*InjectResponse
 // caller owns w and a blind rewrite could interleave two bodies.
 func (c *Client) CampaignResult(ctx context.Context, id, field, format string, w io.Writer) error {
 	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
-	attempts := c.attempts()
-	for attempt := 1; ; attempt++ {
-		n, err := c.resultOnce(ctx, path, w)
-		if err == nil || n > 0 || attempt >= attempts || !retryable(err, true) {
+	var written int64
+	return c.withRetry(ctx, "GET "+path,
+		func(err error) bool { return written == 0 && retryable(err, true) },
+		func() error {
+			n, err := c.resultOnce(ctx, path, w)
+			written += n
 			return err
-		}
-		if serr := c.pause(ctx, "GET "+path, attempt, err); serr != nil {
-			return err
-		}
-	}
+		})
 }
 
 // resultOnce is one attempt of CampaignResult, reporting how many
@@ -315,16 +323,17 @@ func (c *Client) resultOnce(ctx context.Context, path string, w io.Writer) (int6
 // follow the client's policy, like any GET.
 func (c *Client) FetchAggregate(ctx context.Context, id, field, format string) (*store.AggregateDoc, error) {
 	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
-	attempts := c.attempts()
-	for attempt := 1; ; attempt++ {
-		doc, err := c.aggregateOnce(ctx, path)
-		if err == nil || attempt >= attempts || !retryable(err, true) {
-			return doc, err
-		}
-		if serr := c.pause(ctx, "GET "+path, attempt, err); serr != nil {
-			return nil, err
-		}
+	var doc *store.AggregateDoc
+	err := c.withRetry(ctx, "GET "+path,
+		func(err error) bool { return retryable(err, true) },
+		func() (err error) {
+			doc, err = c.aggregateOnce(ctx, path)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
+	return doc, nil
 }
 
 // aggregateOnce is one attempt of FetchAggregate. The Content-Type

@@ -24,6 +24,7 @@ import (
 
 	"positres/internal/chaos"
 	"positres/internal/spec"
+	"positres/internal/store"
 )
 
 // noSleep is a RetryPolicy.Sleep that records requested delays and
@@ -114,6 +115,79 @@ func TestClientDoesNotRetryNonIdempotent5xx(t *testing.T) {
 	// server-side; resubmitting could run the campaign twice.
 	if got := calls.Load(); got != 1 {
 		t.Errorf("non-idempotent request retried: %d calls, want 1", got)
+	}
+}
+
+// TestClientResultFetchesRetry503BeforeBody: CampaignResult and
+// FetchAggregate are GETs, so a retrying client retries a 503 that
+// arrives before any body byte, and both then deliver the body.
+func TestClientResultFetchesRetry503BeforeBody(t *testing.T) {
+	const csv = "field,codec\nCESM/CLOUD,posit8\n"
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%2 == 1 {
+			writeError(w, http.StatusServiceUnavailable, codeInternal, "warming up")
+			return
+		}
+		if r.Header.Get("Accept") == "application/json" {
+			writeJSON(w, http.StatusOK, store.AggregateDoc{Schema: store.DocSchema, Field: "CESM/CLOUD", Codec: "posit8", Trials: 3})
+			return
+		}
+		w.Header().Set("Content-Type", "text/csv")
+		_, _ = io.WriteString(w, csv)
+	}))
+	defer ts.Close()
+
+	var slept []time.Duration
+	c := NewClient(ts.URL, nil).WithRetry(RetryPolicy{MaxAttempts: 3, Sleep: noSleep(&slept)})
+	var got bytes.Buffer
+	if err := c.CampaignResult(context.Background(), "0123456789abcdef", "CESM/CLOUD", "posit8", &got); err != nil {
+		t.Fatalf("CampaignResult through a 503: %v", err)
+	}
+	if got.String() != csv {
+		t.Errorf("CampaignResult wrote %q, want %q", got.String(), csv)
+	}
+	doc, err := c.FetchAggregate(context.Background(), "0123456789abcdef", "CESM/CLOUD", "posit8")
+	if err != nil {
+		t.Fatalf("FetchAggregate through a 503: %v", err)
+	}
+	if doc.Trials != 3 {
+		t.Errorf("FetchAggregate doc = %+v, want 3 trials", doc)
+	}
+	if n := calls.Load(); n != 4 || len(slept) != 2 {
+		t.Errorf("server saw %d calls and the client slept %d times, want 4 and 2", n, len(slept))
+	}
+}
+
+// TestClientCampaignResultNoRetryAfterBody: once body bytes have
+// reached the caller's writer, a failed CampaignResult is final — a
+// retry would write a second body after the first one's prefix.
+func TestClientCampaignResultNoRetryAfterBody(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Length", "1000")
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, "field,codec\n")
+		w.(http.Flusher).Flush()
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			_ = conn.Close() // cut the body short of its declared length
+		}
+	}))
+	defer ts.Close()
+
+	var slept []time.Duration
+	c := NewClient(ts.URL, nil).WithRetry(RetryPolicy{MaxAttempts: 3, Sleep: noSleep(&slept)})
+	var got bytes.Buffer
+	if err := c.CampaignResult(context.Background(), "0123456789abcdef", "CESM/CLOUD", "posit8", &got); err == nil {
+		t.Fatal("CampaignResult reported success for a truncated body")
+	}
+	if got.String() != "field,codec\n" {
+		t.Errorf("writer holds %q, want the one partial body", got.String())
+	}
+	if n := calls.Load(); n != 1 || len(slept) != 0 {
+		t.Errorf("server saw %d calls and the client slept %d times, want 1 and 0", n, len(slept))
 	}
 }
 

@@ -4,8 +4,9 @@ package serve
 // query: encode a value (or take a raw pattern), flip one bit, decode,
 // and report the damage. This is one trial of the paper's §4 campaign
 // served interactively; for posit8/posit16 the decode hits the
-// precomputed LUTs in internal/posit, and the pattern-derived half of
-// the answer is LRU-cached per (format, pattern, bit) triple.
+// precomputed LUTs in internal/posit. Every answer is computed afresh:
+// a flip costs well under a microsecond, far below the JSON request
+// around it.
 
 import (
 	"encoding/json"
@@ -67,9 +68,6 @@ type InjectResponse struct {
 	// Catastrophic reports whether the flip crossed the paper's
 	// catastrophic-error threshold.
 	Catastrophic bool `json:"catastrophic"`
-	// Cached reports whether the pattern-derived half of the answer
-	// came from the server's LRU.
-	Cached bool `json:"cached"`
 }
 
 // handleInject serves POST /v1/inject.
@@ -125,49 +123,29 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		pattern = p
 	}
 
-	info, cached := s.flipInfoFor(codec, pattern, bit)
+	reprValue := codec.Decode(pattern)
 	if req.Value == nil {
-		origValue = info.reprValue
+		origValue = reprValue
 	}
-
-	// The error metrics are value-derived (two inputs rounding to the
-	// same pattern have different baselines), so they are computed per
-	// request from the cached pattern-derived half.
-	p := qcat.Point(origValue, info.faultyVal)
+	faultyBits := bitflip.Flip(pattern, bit)
+	faultyVal := codec.Decode(faultyBits)
+	regimeK := 0
+	if sizer, ok := codec.(numfmt.RegimeSizer); ok {
+		regimeK = sizer.RegimeK(pattern)
+	}
+	p := qcat.Point(origValue, faultyVal)
 	writeJSON(w, http.StatusOK, InjectResponse{
 		Format:       codec.Name(),
 		Bit:          bit,
-		BitField:     info.bitField,
-		RegimeK:      info.regimeK,
+		BitField:     codec.FieldAt(pattern, bit),
+		RegimeK:      regimeK,
 		OrigValue:    JSONFloat(origValue),
-		ReprValue:    JSONFloat(info.reprValue),
+		ReprValue:    JSONFloat(reprValue),
 		OrigBits:     HexBits(pattern),
-		FaultyBits:   HexBits(info.faultyBits),
-		FaultyValue:  JSONFloat(info.faultyVal),
+		FaultyBits:   HexBits(faultyBits),
+		FaultyValue:  JSONFloat(faultyVal),
 		AbsErr:       JSONFloat(p.AbsErr),
 		RelErr:       JSONFloat(p.RelErr),
 		Catastrophic: p.Catastrophic,
-		Cached:       cached,
 	})
-}
-
-// flipInfoFor returns the pattern-derived flip answer, consulting the
-// LRU first. The boolean reports whether the answer was served from
-// the cache.
-func (s *Server) flipInfoFor(codec numfmt.Codec, pattern uint64, bit int) (flipInfo, bool) {
-	key := cacheKey{format: codec.Name(), pattern: pattern, bit: bit}
-	if info, ok := s.cache.get(key); ok {
-		return info, true
-	}
-	info := flipInfo{
-		reprValue:  codec.Decode(pattern),
-		faultyBits: bitflip.Flip(pattern, bit),
-		bitField:   codec.FieldAt(pattern, bit),
-	}
-	info.faultyVal = codec.Decode(info.faultyBits)
-	if sizer, ok := codec.(numfmt.RegimeSizer); ok {
-		info.regimeK = sizer.RegimeK(pattern)
-	}
-	s.cache.put(key, info)
-	return info, false
 }

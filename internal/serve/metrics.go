@@ -4,7 +4,7 @@ package serve
 // positres-telemetry/v1 snapshot (the same schema cmd/positcampaign
 // writes with -telemetry-out, so existing tooling parses it
 // unchanged), per-endpoint HTTP counters and latency histograms, job
-// tallies by state, and inject-cache and dataset-cache occupancy.
+// tallies by state, queue backpressure and dataset-cache occupancy.
 
 import (
 	"net/http"
@@ -35,8 +35,6 @@ type metricsResponse struct {
 	// Jobs tallies campaigns by state (queued, running, complete,
 	// partial, cancelled, failed). Absent states are omitted.
 	Jobs map[string]int `json:"jobs"`
-	// InjectCache reports /v1/inject LRU occupancy and hit rates.
-	InjectCache cacheStats `json:"inject_cache"`
 	// Datasets reports the worker-side dataset cache behind
 	// POST /v1/shards: generations, hits and what stays resident.
 	Datasets sdrbench.CacheStats `json:"datasets"`
@@ -60,7 +58,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Campaign:     s.metrics.Snapshot(),
 		HTTP:         s.httpMetrics.Snapshot(),
 		Jobs:         s.jobs.tallies(),
-		InjectCache:  s.cache.stats(),
 		Datasets:     s.datasets.Stats(),
 		Backpressure: s.jobs.pressure(),
 	}

@@ -5,7 +5,7 @@
 // the full reference):
 //
 //   - POST /v1/inject — synchronous single-value, single-bit what-if
-//     queries, LRU-cached per (format, pattern, bit) triple.
+//     queries.
 //   - POST /v1/campaigns — durable campaign jobs on a bounded queue
 //     drained by a fixed worker pool; 429 + Retry-After under
 //     backpressure. GET /v1/campaigns/{id} polls status and
@@ -60,9 +60,6 @@ type Config struct {
 	// healthz). It deliberately does not apply to POST /v1/campaigns,
 	// whose ?wait=1 mode is open-ended. 0 means 15s.
 	RequestTimeout time.Duration
-	// InjectCacheSize is the /v1/inject LRU capacity in entries.
-	// 0 means 4096.
-	InjectCacheSize int
 	// Metrics receives engine telemetry from every campaign the
 	// server runs and is re-exported on /metrics. nil means a fresh
 	// telemetry.New().
@@ -99,9 +96,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 15 * time.Second
 	}
-	if cfg.InjectCacheSize <= 0 {
-		cfg.InjectCacheSize = 4096
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.New()
 	}
@@ -117,7 +111,6 @@ type Server struct {
 	metrics        *telemetry.Metrics
 	httpMetrics    *telemetry.HTTPMetrics
 	clusterMetrics *telemetry.ClusterMetrics
-	cache          *injectCache
 	datasets       sdrbench.DatasetCache // worker side: POST /v1/shards
 	jobs           *jobStore
 	cluster        *dispatcher
@@ -142,7 +135,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:        cfg.Metrics,
 		httpMetrics:    telemetry.NewHTTP(),
 		clusterMetrics: telemetry.NewCluster(),
-		cache:          newInjectCache(cfg.InjectCacheSize),
 		jobs:           jobs,
 	}
 	s.cluster = newDispatcher(cfg.Workers, cfg.HeartbeatInterval, cfg.ClusterRetryBase, s.clusterMetrics)

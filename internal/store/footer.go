@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"positres/internal/stats"
+	"positres/internal/wire"
 )
 
 // Footer sanity bounds: generous multiples of anything a real
@@ -211,8 +212,8 @@ func parseFooter(frame []byte, dataEnd int64) (*footerData, error) {
 			break
 		}
 		nNames := c.uvarint()
-		if c.err == nil && nNames > maxNames {
-			c.fail("bit %d: name table of %d entries exceeds %d", bit, nNames, maxNames)
+		if c.err == nil && nNames > wire.MaxNames {
+			c.fail("bit %d: name table of %d entries exceeds %d", bit, nNames, wire.MaxNames)
 			break
 		}
 		for j := uint64(0); c.err == nil && j < nNames; j++ {

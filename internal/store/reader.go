@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"positres/internal/core"
+	"positres/internal/wire"
 )
 
 // Reader serves a sealed .pts file: rows in bit order (rendered as
@@ -114,7 +115,7 @@ func (r *Reader) Codec() string { return r.codec }
 // Rows returns the total trial rows in the store.
 func (r *Reader) Rows() uint64 { return r.fd.rows }
 
-// Blocks returns the number of columnar blocks (one per shard).
+// Blocks returns the number of blocks (one per shard).
 func (r *Reader) Blocks() int { return len(r.fd.blocks) }
 
 // BitAggs finalizes the footer's aggregates into core.BitAggs sorted
@@ -156,7 +157,7 @@ func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, [
 		return buf, dst, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
 	}
 	base := len(dst)
-	bitLo, bitHi, dst, err := decodeBlock(buf, r.field, r.codec, dst)
+	bitLo, bitHi, dst, err := blockTrials(buf, r.field, r.codec, dst)
 	if err != nil {
 		return buf, dst, err
 	}
@@ -167,112 +168,33 @@ func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, [
 	return buf, dst, nil
 }
 
-// decodeBlock decodes one complete block frame (length prefix through
-// CRC) of a (field, codec) store into trials appended to dst,
-// returning the block's bit range. The CRC is verified first and
-// every length and index before use.
-func decodeBlock(data []byte, field, codec string, dst []core.Trial) (bitLo, bitHi int, _ []core.Trial, _ error) {
-	payload, err := unwrapFrame(data, blockMagic)
-	if err != nil {
-		return 0, 0, dst, err
-	}
-	c := &cursor{buf: payload}
-	if cols := c.byte(); c.err == nil && int(cols) != len(trialWireHeader) {
-		return 0, 0, dst, fmt.Errorf("%w: block carries %d columns per row, this reader maps %d",
-			ErrCorrupt, cols, len(trialWireHeader))
-	}
-	bitLo = c.intv()
-	bitHi = c.intv()
-	if c.err == nil && bitHi <= bitLo {
-		c.fail("block bit range [%d, %d)", bitLo, bitHi)
-	}
-	nNames := c.uvarint()
-	if c.err == nil && nNames > maxNames {
-		c.fail("name table of %d entries exceeds %d", nNames, maxNames)
-	}
-	names := make([]string, 0, 8)
-	for i := uint64(0); c.err == nil && i < nNames; i++ {
-		names = append(names, c.str())
-	}
-	rows := c.uvarint()
-	// Each row costs at least 7 varint/meta bytes plus 40 fixed float
-	// bytes across the columns; refuse impossible counts before
-	// allocating.
-	if c.err == nil {
-		if remaining := uint64(len(c.buf) - c.off); rows > remaining/41 {
-			c.fail("%d rows declared, %d payload bytes remain", rows, remaining)
-		}
-	}
-	if c.err != nil {
-		return 0, 0, dst, c.err
-	}
+// blockTrials decodes one block — exactly one wire frame, length
+// prefix through CRC — of a (field, codec) store, appending its trials
+// to dst, and returns the block's bit range: [min bit, max bit + 1) of
+// its rows, which AppendShard made equal to the shard range. Every
+// decode failure is ErrCorrupt; on error dst keeps its length.
+func blockTrials(data []byte, field, codec string, dst []core.Trial) (bitLo, bitHi int, _ []core.Trial, _ error) {
 	base := len(dst)
-	need := base + int(rows)
-	if cap(dst) < need {
-		grown := make([]core.Trial, need)
-		copy(grown, dst)
-		dst = grown[:base]
+	dst, n, err := wire.AppendTrials(dst, data)
+	if err != nil {
+		return 0, 0, dst, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	// Every field of every row is assigned by the column loops below,
-	// so extending into reused capacity needs no zeroing.
-	dst = dst[:need]
-	out := dst[base:]
-	for i := range out {
-		tr := &out[i]
-		tr.Field = field
-		tr.Codec = codec
-		tr.Bit = c.intv()
-		if c.err == nil && (tr.Bit < bitLo || tr.Bit >= bitHi) {
-			c.fail("row %d bit %d outside block range [%d, %d)", i, tr.Bit, bitLo, bitHi)
-		}
+	rows := dst[base:]
+	switch {
+	case n != len(data):
+		err = fmt.Errorf("%w: %d bytes after the block's frame", ErrCorrupt, len(data)-n)
+	case len(rows) == 0:
+		err = fmt.Errorf("%w: empty block", ErrCorrupt)
+	case rows[0].Field != field || rows[0].Codec != codec:
+		// A frame holds one (field, codec) pair, so the first row speaks
+		// for every row.
+		err = fmt.Errorf("%w: block of (%s, %s) in the store of (%s, %s)",
+			ErrCorrupt, rows[0].Field, rows[0].Codec, field, codec)
 	}
-	for i := range out {
-		out[i].Seq = c.intv()
+	if err != nil {
+		return 0, 0, dst[:base], err
 	}
-	for i := range out {
-		out[i].Index = c.intv()
-	}
-	for i := range out {
-		out[i].OrigBits = c.uvarint()
-	}
-	for i := range out {
-		out[i].FaultyBits = c.uvarint()
-	}
-	for i := range out {
-		meta := c.byte()
-		out[i].Catastrophic = meta&1 != 0
-		if idx := int(meta >> 1); c.err == nil {
-			if idx >= len(names) {
-				c.fail("row %d bit-field name index %d past table of %d", i, idx, len(names))
-			} else {
-				out[i].FieldName = names[idx]
-			}
-		}
-	}
-	for i := range out {
-		out[i].RegimeK = c.varint()
-	}
-	for i := range out {
-		out[i].OrigValue = c.float()
-	}
-	for i := range out {
-		out[i].ReprValue = c.float()
-	}
-	for i := range out {
-		out[i].FaultyVal = c.float()
-	}
-	for i := range out {
-		out[i].AbsErr = c.float()
-	}
-	for i := range out {
-		out[i].RelErr = c.float()
-	}
-	if c.err != nil {
-		return 0, 0, dst, c.err
-	}
-	if c.off != len(c.buf) {
-		return 0, 0, dst, fmt.Errorf("%w: %d trailing payload bytes after last column", ErrCorrupt, len(c.buf)-c.off)
-	}
+	bitLo, bitHi = bitSpan(rows)
 	return bitLo, bitHi, dst, nil
 }
 
@@ -310,22 +232,18 @@ func (r *Reader) RenderCSV(w io.Writer) error {
 	return nil
 }
 
-// Verify decodes every block, checking each CRC and every structural
-// invariant — the deep-scan behind positstore's verify command. The
-// footer was already verified at Open.
+// Verify decodes every block, checking each CRC, every structural
+// invariant and each block's footer index entry — the deep-scan
+// behind positstore's verify command. The footer was already verified
+// at Open.
 func (r *Reader) Verify() error {
 	var raw []byte
 	var trials []core.Trial
 	var err error
 	for _, b := range r.fd.blocks {
 		trials = trials[:0]
-		raw, trials, err = r.readBlock(b, raw, trials)
-		if err != nil {
+		if raw, trials, err = r.readBlock(b, raw, trials); err != nil {
 			return err
-		}
-		if len(trials) != b.Rows {
-			return fmt.Errorf("%w: block at %d decoded %d rows, index says %d",
-				ErrCorrupt, b.Offset, len(trials), b.Rows)
 		}
 	}
 	return nil

@@ -1,13 +1,14 @@
-// Package store implements the append-only columnar trial store — the
-// on-disk format that lets a campaign outgrow memory. A .pts file
-// holds every trial of one (field, codec) pair as per-column binary
-// blocks (varints for the integer columns, raw little-endian float64
-// bit patterns for the value columns, reusing internal/wire's
-// conventions), followed by a CRC-guarded footer that indexes the
-// blocks and carries the campaign's online aggregates: count, mean,
-// max and a quantile sketch per (field, bit), folded in at
-// append time so a summary is O(fields×bits) regardless of trial
-// count. docs/STORE.md is the normative format specification.
+// Package store implements the append-only trial store — the on-disk
+// format that lets a campaign outgrow memory. A .pts file holds every
+// trial of one (field, codec) pair as one block per appended shard,
+// each block an internal/wire frame byte for byte (the encoding the
+// shard hop already uses: varints for the integer columns, raw
+// little-endian float64 bit patterns for the value columns), followed
+// by a CRC-guarded footer that indexes the blocks and carries the
+// campaign's online aggregates: count, mean, max and a quantile sketch
+// per (field, bit), folded in at append time so a summary is
+// O(fields×bits) regardless of trial count. docs/STORE.md is the
+// normative format specification.
 //
 // The write path is the campaign's durable record. Blocks append to a
 // pending file at atomicio.PendingPath(path) and each AppendShard
@@ -19,13 +20,13 @@
 // appends only its missing shards (docs/STORE.md, "Durable append and
 // recovery").
 //
-// Reading back is lossless by construction: every float column stores
-// the exact bit pattern, so RenderCSV reproduces core.WriteTrialsCSV
-// byte for byte (pinned by test), and the per-bit aggregates off the
-// footer match core.AggregateByBit exactly for count, mean, max,
-// geometric mean and field shares (medians are sketch-approximate
-// within SketchAlpha relative accuracy; means reassociate above
-// internal/stats' parallel threshold).
+// Reading back is lossless by construction: a frame stores every
+// float's exact bit pattern, so RenderCSV reproduces
+// core.WriteTrialsCSV byte for byte (pinned by test), and the per-bit
+// aggregates off the footer match core.AggregateByBit exactly for
+// count, mean, max, geometric mean and field shares (medians are
+// sketch-approximate within SketchAlpha relative accuracy; means
+// reassociate above internal/stats' parallel threshold).
 package store
 
 import (
@@ -34,19 +35,22 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"positres/internal/wire"
 )
 
 // Version is the store format version this package writes. A reader
 // rejects every other value with ErrVersion — like the wire format,
 // compatibility is all-or-nothing per file (docs/STORE.md,
-// "Compatibility policy"): a reader never guesses at a layout.
-const Version = 1
+// "Compatibility policy"): a reader never guesses at a layout. Blocks
+// are wire frames, so a wire.Version bump is a Version bump too.
+const Version = 2
 
-// The four magics that structure a .pts file. Each spells its role so
-// a hex dump is self-describing and a mis-routed payload fails fast.
+// The three magics that structure a .pts file (blocks open with the
+// wire frame's own "PTRW"). Each spells its role so a hex dump is
+// self-describing and a mis-routed payload fails fast.
 const (
-	fileMagic   = "PTSC" // file header: posit trial store, columnar
-	blockMagic  = "PTSB" // one columnar block of shard trials
+	fileMagic   = "PTSC" // file header: posit trial store
 	footerMagic = "PTSF" // footer: block index + aggregates
 	endMagic    = "PTSE" // 8-byte trailer locating the footer
 )
@@ -55,18 +59,14 @@ const (
 const Ext = ".pts"
 
 // MaxBlockBytes bounds the declared length of any block or footer
-// frame a reader will honor (1 GiB, matching wire.MaxFrameBytes): far
-// above any real shard, small enough to refuse a corrupted length
-// before allocating for it.
-const MaxBlockBytes = 1 << 30
+// frame a reader will honor: wire.MaxFrameBytes (1 GiB), far above
+// any real shard, small enough to refuse a corrupted length before
+// allocating for it.
+const MaxBlockBytes = wire.MaxFrameBytes
 
-// maxStringLen bounds each packed string (bit-field names, the header
-// field/codec pair); real values are tens of bytes.
+// maxStringLen bounds each packed string (bit-field names in the
+// footer, the header field/codec pair); real values are tens of bytes.
 const maxStringLen = 1 << 16
-
-// maxNames bounds a block's bit-field name table: a row addresses its
-// name with 7 bits of the meta byte, exactly as the wire format does.
-const maxNames = 128
 
 // Decode errors, one per failure class, matched with errors.Is. A
 // damaged file is refused whole — a reader never serves rows from a
@@ -83,17 +83,6 @@ var (
 	ErrSealed = errors.New("store: writer already sealed")
 )
 
-// trialWireHeader is the logical column list of one stored trial row,
-// in block column order. It deliberately mirrors core's CSV
-// trialHeader and wire's copy — positlint's csvheader rule
-// cross-checks all three registries against core.Trial, so adding a
-// Trial field without extending the columnar encoding fails tier-1.
-var trialWireHeader = []string{
-	"field", "codec", "bit", "seq", "index",
-	"orig_value", "repr_value", "orig_bits", "faulty_bits", "faulty_value",
-	"bit_field", "regime_k", "abs_err", "rel_err", "catastrophic",
-}
-
 // FileName returns the store file name for one (field, codec) pair —
 // the same sanitization the CSV result files use (slashes in dataset
 // field keys become underscores), with the .pts extension.
@@ -107,10 +96,10 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// cursor is a bounds-checked sticky-error reader over one decoded
-// region, following wire's decoder idiom: the first failure sticks
-// and turns every later read into a no-op, so column loops stay
-// branch-light and check once per column.
+// cursor is a bounds-checked sticky-error reader over the header or
+// the footer, following wire's decoder idiom: the first failure
+// sticks and turns every later read into a no-op, so index loops stay
+// branch-light and check once per entry.
 type cursor struct {
 	buf []byte
 	off int

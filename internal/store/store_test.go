@@ -14,6 +14,7 @@ import (
 	"positres/internal/core"
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
+	"positres/internal/wire"
 )
 
 // genTrials runs a real (small) campaign range so store tests exercise
@@ -111,6 +112,43 @@ func TestRoundTrip(t *testing.T) {
 	for i := range got {
 		if !sameTrial(&got[i], &trials[i]) {
 			t.Fatalf("trial %d: got %+v, want %+v", i, got[i], trials[i])
+		}
+	}
+}
+
+// TestBlocksAreWireFrames pins the block encoding: every block of a
+// sealed multi-shard store, located through the footer index, is
+// byte for byte the wire frame of its shard's trials.
+func TestBlocksAreWireFrames(t *testing.T) {
+	trials := genTrials(t, "CESM/CLOUD", "posit16", 400, 5, 0, 16)
+	path := filepath.Join(t.TempDir(), FileName("CESM/CLOUD", "posit16"))
+	writeStore(t, path, "CESM/CLOUD", "posit16", trials, 0, 16, 5)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(r.fd.blocks) != 4 {
+		t.Fatalf("%d blocks, want 4", len(r.fd.blocks))
+	}
+	for _, b := range r.fd.blocks {
+		var shard []core.Trial
+		for i := range trials {
+			if trials[i].Bit >= b.BitLo && trials[i].Bit < b.BitHi {
+				shard = append(shard, trials[i])
+			}
+		}
+		want, err := wire.AppendFrame(nil, shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := raw[b.Offset : b.Offset+int64(b.Length)]; !bytes.Equal(got, want) {
+			t.Fatalf("block [%d, %d) at %d: %d bytes differ from its shard's %d-byte wire frame",
+				b.BitLo, b.BitHi, b.Offset, len(got), len(want))
 		}
 	}
 }
@@ -275,8 +313,8 @@ func mustWithinRelative(t *testing.T, bit int, what string, got, want float64) {
 }
 
 // TestWriterRejectsShardViolations pins the append-time validation:
-// wrong identity, out-of-range bits and use-after-seal all fail
-// without corrupting the file.
+// wrong identity, out-of-range bits, rows that do not span the range
+// and use-after-seal all fail without corrupting the file.
 func TestWriterRejectsShardViolations(t *testing.T) {
 	dir := t.TempDir()
 	trials := genTrials(t, "CESM/CLOUD", "posit16", 200, 2, 0, 4)
@@ -287,6 +325,14 @@ func TestWriterRejectsShardViolations(t *testing.T) {
 	defer w.Abort()
 	if err := w.AppendShard(4, 8, trials); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-range bits: %v", err)
+	}
+	// Rows must cover both ends of the range, so a block's range can
+	// be read back from its rows.
+	if err := w.AppendShard(0, 5, trials); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rows short of bitHi-1: %v", err)
+	}
+	if err := w.AppendShard(0, 4, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty shard: %v", err)
 	}
 	wrong := make([]core.Trial, 1)
 	wrong[0] = trials[0]

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"math"
 	"os"
 	"sync"
 
 	"positres/internal/atomicio"
 	"positres/internal/core"
+	"positres/internal/wire"
 )
 
 // blockInfo is one footer index entry: where a block's bytes live and
@@ -26,7 +26,7 @@ type blockInfo struct {
 	BitHi  int   // one past the last bit position covered (exclusive)
 }
 
-// Writer builds one .pts file: a header, one columnar block per
+// Writer builds one .pts file: a header, one block (a wire frame) per
 // appended shard, and at Seal a footer indexing the blocks and
 // carrying the online aggregates. Until Seal the bytes live in a
 // pending file at atomicio.PendingPath(path), never at the final
@@ -50,12 +50,8 @@ type Writer struct {
 	done    bool  // sealed, aborted or closed
 	err     error // first write failure; sticky, forces Abort
 
-	// Scratch reused across AppendShard calls so the steady-state
-	// append path stays at a few allocations per shard.
-	buf     []byte
-	nameIdx map[string]int
-	names   []string
-	rowIdx  []int
+	// Scratch reused across AppendShard calls and by Seal.
+	buf []byte
 }
 
 // NewWriter starts a fresh pending store for one (field, codec) pair
@@ -82,16 +78,19 @@ func NewWriter(path, field, codec string) (*Writer, error) {
 // rewritten, byte-identically, by the next Seal. With neither, Resume
 // starts an empty store like NewWriter.
 //
-// Blocks are verified in file order. The file is truncated at the
-// first block that is torn, fails its CRC or structural checks,
-// overlaps the bit range of a block already kept (a duplicate), or
-// is refused by keep (out of the caller's shard plan); every block
-// after that point is dropped with it. keep sees each verified
-// block's range and freshly decoded trials before it is kept and may
-// retain them. The per-bit aggregates are re-folded from the kept
-// blocks, so the writer's Doc equals that of a fresh writer fed the
-// same shards in the same order. A header that does not match
-// (field, codec) discards the whole file.
+// Blocks are verified in file order. A block's bit range is
+// [min bit, max bit + 1) of its rows, which AppendShard made equal to
+// the shard range it was given. The file is truncated at the first
+// block that is torn, fails its CRC or structural checks, overlaps
+// the bit range of a block already kept (a duplicate), or is refused
+// by keep (out of the caller's shard plan); every block after that
+// point is dropped with it. keep sees each verified block's range and
+// freshly decoded trials before it is kept and may retain them. The
+// per-bit aggregates are re-folded from the kept blocks, so the
+// writer's Doc equals that of a fresh writer fed the same shards in
+// the same order. A header that does not match (field, codec) — a
+// file of another pair or another format version — discards the
+// whole file.
 func Resume(path, field, codec string, keep func(bitLo, bitHi int, trials []core.Trial) bool) (*Writer, error) {
 	if _, err := os.Stat(atomicio.PendingPath(path)); errors.Is(err, fs.ErrNotExist) {
 		if err := os.Rename(path, atomicio.PendingPath(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -119,14 +118,7 @@ func openWriter(path, field, codec string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{
-		pf:      pf,
-		path:    path,
-		field:   field,
-		codec:   codec,
-		bits:    map[int]*bitState{},
-		nameIdx: map[string]int{},
-	}, nil
+	return &Writer{pf: pf, path: path, field: field, codec: codec, bits: map[int]*bitState{}}, nil
 }
 
 // header returns the file header bytes: magic, version and the
@@ -187,7 +179,7 @@ func (w *Writer) recover(keep func(bitLo, bitHi int, trials []core.Trial) bool) 
 		if _, err := w.pf.ReadAt(raw, off); err != nil {
 			return fmt.Errorf("store: recover %s: %w", w.path, err)
 		}
-		lo, hi, trials, err := decodeBlock(raw, w.field, w.codec, nil)
+		lo, hi, trials, err := blockTrials(raw, w.field, w.codec, nil)
 		if err != nil || w.overlaps(lo, hi) || (keep != nil && !keep(lo, hi, trials)) {
 			break
 		}
@@ -223,14 +215,16 @@ func (w *Writer) record(b blockInfo, trials []core.Trial) {
 	w.rows += uint64(len(trials))
 }
 
-// AppendShard encodes one shard's trials as a columnar block, writes
-// and fsyncs it, and folds the trials into the per-bit aggregates; it
-// returns only once the block is durable. Every trial must carry the
-// writer's (field, codec) and a bit within [bitLo, bitHi) — the
-// half-open shard range convention internal/runner uses; violations
-// are append errors, not silent corruption. After a write or fsync
-// error the writer is spent: further appends fail and Seal aborts,
-// while Close keeps the blocks already durable for a Resume.
+// AppendShard encodes one shard's trials as a block — one wire frame,
+// byte for byte — writes and fsyncs it, and folds the trials into the
+// per-bit aggregates; it returns only once the block is durable. The
+// rows must carry the writer's (field, codec), lie in [bitLo, bitHi) —
+// the half-open shard range convention internal/runner uses — and
+// cover both bitLo and bitHi-1, so the block's range can be read back
+// from its rows; violations are ErrCorrupt append errors, not silent
+// corruption. After a write or fsync error the writer is spent:
+// further appends fail and Seal aborts, while Close keeps the blocks
+// already durable for a Resume.
 func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -240,16 +234,19 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	if w.err != nil {
 		return w.err
 	}
+	if err := w.checkShard(bitLo, bitHi, trials); err != nil {
+		return err // the file is still clean
+	}
 	offset, err := w.pf.Offset()
 	if err != nil {
 		w.err = fmt.Errorf("store: offset %s: %w", w.path, err)
 		return w.err
 	}
-	buf, err := w.appendBlock(w.buf[:0], bitLo, bitHi, trials)
-	w.buf = buf[:0] // keep the grown capacity even on error
+	buf, err := wire.AppendFrame(w.buf[:0], trials)
 	if err != nil {
-		return err // encoding rejected the input; the file is still clean
+		return fmt.Errorf("%w: %w", ErrCorrupt, err) // the file is still clean
 	}
+	w.buf = buf[:0]
 	if _, err := w.pf.Write(buf); err != nil {
 		w.err = fmt.Errorf("store: block %s: %w", w.path, err)
 		return w.err
@@ -262,102 +259,37 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	return nil
 }
 
-// appendBlock validates trials against the shard invariants and
-// appends their columnar block encoding to dst: a length prefix, the
-// block payload (magic, column count, bit range, bit-field name
-// table, then each column contiguously) and the payload's CRC-32.
-func (w *Writer) appendBlock(dst []byte, bitLo, bitHi int, trials []core.Trial) ([]byte, error) {
+// checkShard enforces AppendShard's rules on one shard's rows. Rows
+// inside [bitLo, bitHi) that cover both ends are exactly rows whose
+// bitSpan is [bitLo, bitHi).
+func (w *Writer) checkShard(bitLo, bitHi int, trials []core.Trial) error {
 	if bitLo < 0 || bitHi <= bitLo {
-		return nil, fmt.Errorf("%w: bit range [%d, %d)", ErrCorrupt, bitLo, bitHi)
+		return fmt.Errorf("%w: bit range [%d, %d)", ErrCorrupt, bitLo, bitHi)
 	}
-	// First pass: shard invariants and the block's name vocabulary.
-	clear(w.nameIdx)
-	w.names = w.names[:0]
-	w.rowIdx = w.rowIdx[:0]
 	for i := range trials {
-		tr := &trials[i]
-		if tr.Field != w.field || tr.Codec != w.codec {
-			return nil, fmt.Errorf("%w: mixed (field, codec) in one store: (%s, %s) vs (%s, %s)",
+		if tr := &trials[i]; tr.Field != w.field || tr.Codec != w.codec {
+			return fmt.Errorf("%w: mixed (field, codec) in one store: (%s, %s) vs (%s, %s)",
 				ErrCorrupt, tr.Field, tr.Codec, w.field, w.codec)
 		}
-		if tr.Bit < bitLo || tr.Bit >= bitHi {
-			return nil, fmt.Errorf("%w: trial bit %d outside shard range [%d, %d)",
-				ErrCorrupt, tr.Bit, bitLo, bitHi)
-		}
-		j, ok := w.nameIdx[tr.FieldName]
-		if !ok {
-			j = len(w.names)
-			if j >= maxNames {
-				return nil, fmt.Errorf("%w: more than %d distinct bit-field names", ErrCorrupt, maxNames)
-			}
-			if len(tr.FieldName) > maxStringLen {
-				return nil, fmt.Errorf("%w: bit-field name over %d bytes", ErrCorrupt, maxStringLen)
-			}
-			w.nameIdx[tr.FieldName] = j
-			w.names = append(w.names, tr.FieldName)
-		}
-		w.rowIdx = append(w.rowIdx, j)
 	}
-
-	// Payload, then patch the length prefix and append the CRC —
-	// wire.AppendFrame's framing, column-major inside.
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	p := len(dst)                 // payload start
-	dst = append(dst, blockMagic...)
-	dst = append(dst, byte(len(trialWireHeader)))
-	dst = binary.AppendUvarint(dst, uint64(bitLo))
-	dst = binary.AppendUvarint(dst, uint64(bitHi))
-	dst = binary.AppendUvarint(dst, uint64(len(w.names)))
-	for _, nm := range w.names {
-		dst = appendString(dst, nm)
+	if lo, hi := bitSpan(trials); lo != bitLo || hi != bitHi {
+		return fmt.Errorf("%w: rows span bits [%d, %d), shard range is [%d, %d)",
+			ErrCorrupt, lo, hi, bitLo, bitHi)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(trials)))
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Bit))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Seq))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Index))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].OrigBits)
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].FaultyBits)
-	}
-	for i := range trials {
-		meta := byte(w.rowIdx[i]) << 1
-		if trials[i].Catastrophic {
-			meta |= 1
-		}
-		dst = append(dst, meta)
-	}
-	for i := range trials {
-		dst = binary.AppendVarint(dst, int64(trials[i].RegimeK))
-	}
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.OrigValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.ReprValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.FaultyVal })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.AbsErr })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.RelErr })
-	crc := crc32.ChecksumIEEE(dst[p:])
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	binary.LittleEndian.PutUint32(dst[base:], uint32(len(dst)-p))
-	return dst, nil
+	return nil
 }
 
-// appendFloatColumn appends one float64 column as raw little-endian
-// bit patterns — lossless, like the wire format's fixed row tail.
-func appendFloatColumn(dst []byte, trials []core.Trial, get func(*core.Trial) float64) []byte {
-	var fixed [8]byte
-	for i := range trials {
-		binary.LittleEndian.PutUint64(fixed[:], math.Float64bits(get(&trials[i])))
-		dst = append(dst, fixed[:]...)
+// bitSpan returns [min bit, max bit + 1) over trials; [0, 0) when
+// there are none.
+func bitSpan(trials []core.Trial) (lo, hi int) {
+	if len(trials) == 0 {
+		return 0, 0
 	}
-	return dst
+	lo, hi = trials[0].Bit, trials[0].Bit
+	for i := range trials {
+		lo, hi = min(lo, trials[i].Bit), max(hi, trials[i].Bit)
+	}
+	return lo, hi + 1
 }
 
 // Doc snapshots the live aggregates as an unsealed aggregate

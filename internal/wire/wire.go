@@ -14,11 +14,13 @@
 // Trial values, bit for bit, which is what keeps distributed campaign
 // CSVs byte-identical to local ones.
 //
-// CSV remains the only export and rendering format
-// (GET /v1/campaigns/{id}/results); frames exist strictly on the
-// coordinator↔worker hop and are negotiated per request via the
-// Accept header (see Accepts), so an old worker or coordinator falls
-// back to CSV without configuration.
+// A frame is the one binary trial encoding in positres. It travels
+// on the coordinator↔worker hop, negotiated per request via the
+// Accept header (see Accepts) so an old worker or coordinator falls
+// back to CSV without configuration, and every block of a .pts store
+// (internal/store) is one frame, byte for byte — so a change to the
+// frame layout is a new store version too. CSV remains the only
+// export and rendering format (GET /v1/campaigns/{id}/results).
 package wire
 
 import (
@@ -28,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,9 +62,9 @@ const MaxFrameBytes = 1 << 30
 // bit-field name); real values are tens of bytes.
 const maxStringLen = 1 << 16
 
-// maxNames bounds the bit-field name table: a row addresses its name
+// MaxNames bounds the bit-field name table: a row addresses its name
 // with 7 bits of the meta byte.
-const maxNames = 128
+const MaxNames = 128
 
 // Decode errors, one per failure class. All are returned wrapped with
 // positional detail; match with errors.Is. Every one of them is a
@@ -133,7 +136,7 @@ func refused(params []string) bool {
 
 // EncodeFrame packs trials into one binary frame. All trials must
 // share one (Field, Codec) pair — the shard invariant — and use at
-// most maxNames distinct bit-field names; violations are encoding
+// most MaxNames distinct bit-field names; violations are encoding
 // errors, not silent truncation. An empty slice encodes a valid empty
 // frame.
 func EncodeFrame(trials []core.Trial) ([]byte, error) {
@@ -153,29 +156,27 @@ func AppendFrame(dst []byte, trials []core.Trial) ([]byte, error) {
 	}
 
 	// Bit-field name vocabulary: a handful of strings (sign, regime,
-	// exponent, fraction, mantissa, ...) shared by every row.
-	var names []string
-	nameIdx := map[string]int{}
-	rowIdx := make([]int, len(trials))
+	// exponent, fraction, mantissa, ...) shared by every row. The table
+	// is that short, so a linear search finds a row's entry faster
+	// than a map would, and the encoder allocates nothing of its own.
+	var table [MaxNames]string
+	names := table[:0]
 	for i := range trials {
 		tr := &trials[i]
 		if tr.Field != field || tr.Codec != codec {
 			return nil, fmt.Errorf("%w: mixed (field, codec) in one frame: (%s, %s) vs (%s, %s)",
 				ErrMalformed, tr.Field, tr.Codec, field, codec)
 		}
-		j, ok := nameIdx[tr.FieldName]
-		if !ok {
-			j = len(names)
-			if j >= maxNames {
-				return nil, fmt.Errorf("%w: more than %d distinct bit-field names", ErrMalformed, maxNames)
-			}
-			if len(tr.FieldName) > maxStringLen {
-				return nil, fmt.Errorf("%w: bit-field name over %d bytes", ErrMalformed, maxStringLen)
-			}
-			nameIdx[tr.FieldName] = j
-			names = append(names, tr.FieldName)
+		if slices.Contains(names, tr.FieldName) {
+			continue
 		}
-		rowIdx[i] = j
+		if len(names) == MaxNames {
+			return nil, fmt.Errorf("%w: more than %d distinct bit-field names", ErrMalformed, MaxNames)
+		}
+		if len(tr.FieldName) > maxStringLen {
+			return nil, fmt.Errorf("%w: bit-field name over %d bytes", ErrMalformed, maxStringLen)
+		}
+		names = append(names, tr.FieldName)
 	}
 
 	// Payload, then patch the length prefix and append the CRC.
@@ -199,7 +200,7 @@ func AppendFrame(dst []byte, trials []core.Trial) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(tr.Index))
 		dst = binary.AppendUvarint(dst, tr.OrigBits)
 		dst = binary.AppendUvarint(dst, tr.FaultyBits)
-		meta := byte(rowIdx[i]) << 1
+		meta := byte(slices.Index(names, tr.FieldName)) << 1
 		if tr.Catastrophic {
 			meta |= 1
 		}
@@ -226,44 +227,57 @@ func appendString(dst []byte, s string) []byte {
 
 // DecodeFrame decodes one frame from the front of data, returning the
 // trials and the number of bytes consumed (length prefix included).
-// The CRC is verified before any row is interpreted, the version
-// before anything else in the payload, and every length and index is
-// bounds-checked, so arbitrary input cannot do worse than return an
-// error (FuzzDecodeFrame pins this).
+// It is AppendTrials with a nil dst.
 func DecodeFrame(data []byte) ([]core.Trial, int, error) {
+	trials, consumed, err := AppendTrials(nil, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return trials, consumed, nil
+}
+
+// AppendTrials decodes one frame from the front of data, appends its
+// trials to dst and returns the extended slice and the number of bytes
+// consumed (length prefix included), so a caller decoding many frames
+// can reuse one trial buffer. On error it returns dst with its
+// original length. The CRC is verified before any row is
+// interpreted, the version before anything else in the payload, and
+// every length and index is bounds-checked, so arbitrary input cannot
+// do worse than return an error (FuzzDecodeFrame pins this).
+func AppendTrials(dst []core.Trial, data []byte) ([]core.Trial, int, error) {
 	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("%w: %d bytes, need 4-byte length prefix", ErrTruncated, len(data))
+		return dst, 0, fmt.Errorf("%w: %d bytes, need 4-byte length prefix", ErrTruncated, len(data))
 	}
 	frameLen := binary.LittleEndian.Uint32(data)
 	if frameLen > MaxFrameBytes {
-		return nil, 0, fmt.Errorf("%w: declared length %d exceeds %d", ErrMalformed, frameLen, MaxFrameBytes)
+		return dst, 0, fmt.Errorf("%w: declared length %d exceeds %d", ErrMalformed, frameLen, MaxFrameBytes)
 	}
 	if uint64(len(data)-4) < uint64(frameLen) {
-		return nil, 0, fmt.Errorf("%w: declared length %d, %d bytes available", ErrTruncated, frameLen, len(data)-4)
+		return dst, 0, fmt.Errorf("%w: declared length %d, %d bytes available", ErrTruncated, frameLen, len(data)-4)
 	}
 	consumed := 4 + int(frameLen)
 	if frameLen < 4 {
-		return nil, 0, fmt.Errorf("%w: frame length %d below CRC size", ErrMalformed, frameLen)
+		return dst, 0, fmt.Errorf("%w: frame length %d below CRC size", ErrMalformed, frameLen)
 	}
 	payload := data[4 : consumed-4]
 	wantCRC := binary.LittleEndian.Uint32(data[consumed-4:])
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, 0, fmt.Errorf("%w: crc32 %08x, frame announces %08x", ErrChecksum, got, wantCRC)
+		return dst, 0, fmt.Errorf("%w: crc32 %08x, frame announces %08x", ErrChecksum, got, wantCRC)
 	}
 
 	d := decoder{buf: payload}
 	if len(payload) < len(magic)+2 {
-		return nil, 0, fmt.Errorf("%w: payload of %d bytes", ErrMalformed, len(payload))
+		return dst, 0, fmt.Errorf("%w: payload of %d bytes", ErrMalformed, len(payload))
 	}
 	if string(payload[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("%w: %q", ErrMagic, payload[:len(magic)])
+		return dst, 0, fmt.Errorf("%w: %q", ErrMagic, payload[:len(magic)])
 	}
 	d.off = len(magic)
 	if v := payload[d.off]; v != Version {
-		return nil, 0, fmt.Errorf("%w: frame version %d, this decoder speaks %d", ErrVersion, v, Version)
+		return dst, 0, fmt.Errorf("%w: frame version %d, this decoder speaks %d", ErrVersion, v, Version)
 	}
 	if cols := payload[d.off+1]; int(cols) != len(trialWireHeader) {
-		return nil, 0, fmt.Errorf("%w: frame carries %d columns per row, this decoder maps %d",
+		return dst, 0, fmt.Errorf("%w: frame carries %d columns per row, this decoder maps %d",
 			ErrMalformed, cols, len(trialWireHeader))
 	}
 	d.off += 2
@@ -271,8 +285,8 @@ func DecodeFrame(data []byte) ([]core.Trial, int, error) {
 	field := d.str()
 	codec := d.str()
 	nNames := d.uvarint()
-	if d.err == nil && nNames > maxNames {
-		d.fail("name table of %d entries exceeds %d", nNames, maxNames)
+	if d.err == nil && nNames > MaxNames {
+		d.fail("name table of %d entries exceeds %d", nNames, MaxNames)
 	}
 	names := make([]string, 0, 8)
 	for i := uint64(0); d.err == nil && i < nNames; i++ {
@@ -280,15 +294,17 @@ func DecodeFrame(data []byte) ([]core.Trial, int, error) {
 	}
 	nRows := d.uvarint()
 	if d.err != nil {
-		return nil, 0, d.err
+		return dst, 0, d.err
 	}
 	// Each row is at least 7 varint/meta bytes plus 40 fixed bytes;
 	// refuse a row count the remaining payload cannot possibly hold
 	// before allocating for it.
 	if remaining := uint64(len(d.buf) - d.off); nRows > remaining/41 {
-		return nil, 0, fmt.Errorf("%w: %d rows declared, %d payload bytes remain", ErrMalformed, nRows, remaining)
+		return dst, 0, fmt.Errorf("%w: %d rows declared, %d payload bytes remain", ErrMalformed, nRows, remaining)
 	}
-	trials := make([]core.Trial, nRows)
+	base := len(dst)
+	out := slices.Grow(dst, int(nRows))[:base+int(nRows)]
+	trials := out[base:]
 	for i := range trials {
 		tr := &trials[i]
 		tr.Field = field
@@ -314,13 +330,13 @@ func DecodeFrame(data []byte) ([]core.Trial, int, error) {
 		tr.AbsErr = d.float()
 		tr.RelErr = d.float()
 		if d.err != nil {
-			return nil, 0, d.err
+			return dst, 0, d.err
 		}
 	}
 	if d.off != len(d.buf) {
-		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes after last row", ErrMalformed, len(d.buf)-d.off)
+		return dst, 0, fmt.Errorf("%w: %d trailing payload bytes after last row", ErrMalformed, len(d.buf)-d.off)
 	}
-	return trials, consumed, nil
+	return out, consumed, nil
 }
 
 // ReadFrame reads exactly one frame from r (a streaming HTTP body),

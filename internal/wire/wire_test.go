@@ -277,6 +277,46 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestAppendTrialsReusesBuffer pins the decoder's append form: frames
+// decoded one after another into one buffer keep every earlier row
+// and reuse its capacity, and a failed decode leaves the buffer's
+// length where it was.
+func TestAppendTrialsReusesBuffer(t *testing.T) {
+	in := sampleTrials(t, 40)
+	first, err := EncodeFrame(in[:25])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := EncodeFrame(in[25:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]core.Trial, 0, len(in))
+	buf, n, err := AppendTrials(buf, first)
+	if err != nil || n != len(first) {
+		t.Fatalf("first frame: consumed %d of %d bytes, %v", n, len(first), err)
+	}
+	buf, n, err = AppendTrials(buf, second)
+	if err != nil || n != len(second) {
+		t.Fatalf("second frame: consumed %d of %d bytes, %v", n, len(second), err)
+	}
+	if len(buf) != len(in) || cap(buf) != len(in) {
+		t.Fatalf("buffer holds %d rows in capacity %d, want %d in %d", len(buf), cap(buf), len(in), len(in))
+	}
+	for i := range in {
+		if !trialsEqual(&in[i], &buf[i]) {
+			t.Fatalf("trial %d drifted:\n in: %+v\nout: %+v", i, in[i], buf[i])
+		}
+	}
+
+	bad := append([]byte(nil), second...)
+	bad[len(bad)/2] ^= 0x01
+	kept, _, err := AppendTrials(buf[:25], bad)
+	if !errors.Is(err, ErrChecksum) || len(kept) != 25 {
+		t.Fatalf("damaged frame: %d rows kept, err %v; want 25 and ErrChecksum", len(kept), err)
+	}
+}
+
 // TestWireHeaderMatchesCSVHeader keeps the two schema registries in
 // lockstep by construction (positlint's csvheader rule enforces the
 // same agreement statically; this is the runtime cross-check).

@@ -5,8 +5,9 @@
 # the dead-code gate (scripts/deadcode.sh), positlint (including a
 # self-test that the linter still fires on its fixtures), a one-iteration
 # pass over every go benchmark, the perfbench module's own tests, the
-# wire and store fuzz smokes, the bounded-memory
-# columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
+# wire and store fuzz smokes (FuzzDecodeFrame covers the one trial
+# decoder behind both shard responses and .pts blocks), the
+# bounded-memory store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
 # store-rendered CSV must hash identically to the direct encoder), the
 # positload chaos smoke, the short test suite, the race-detector pass,
 # and the e2e battery — kill-and-resume campaign, kill-and-restart
@@ -79,7 +80,7 @@ $GO test -run '^$' -bench . -benchtime 1x ./...
 banner "perfbench tests: the end-to-end benchmark still builds against the internal APIs"
 (cd perfbench && $GO test ./...)
 
-banner "wire fuzz smoke: 5s over the binary frame decoder"
+banner "wire fuzz smoke: 5s over the frame decoder of shard responses and .pts blocks"
 $GO test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
 
 banner "store fuzz smoke: 5s each over the .pts footer index, opener and pending-store recovery"
